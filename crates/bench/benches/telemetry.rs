@@ -1,14 +1,11 @@
-//! Benchmarks of the telemetry fast path: the same simulation slice run
-//! with telemetry disabled (baseline), with a `NullRecorder` sink
-//! (aggregates + counters only), and with a live ring sink. The
-//! acceptance target is that the null path stays within a few percent of
-//! baseline — enabling the registry must not tax the simulator's hot
-//! loop when nobody is recording.
+//! Benchmarks of telemetry recording: the same simulation slice run
+//! without telemetry (baseline) and with telemetry recording into its
+//! ring. Telemetry is either absent or recording, so these two columns
+//! are the whole cost picture.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::schemes::Scheme;
 use pad::sim::{ClusterSim, SimConfig};
-use simkit::telemetry::TelemetrySink;
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::time::Duration;
@@ -37,11 +34,6 @@ fn bench_telemetry(c: &mut Criterion) {
     let base = built_sim();
     // Metric registration is a one-time setup cost; build each variant
     // outside the timed loop so the iterations measure stepping only.
-    let null_sim = {
-        let mut sim = base.clone();
-        sim.enable_telemetry_sink(TelemetrySink::Null);
-        sim
-    };
     let ring_sim = {
         let mut sim = base.clone();
         sim.enable_telemetry(1 << 16);
@@ -52,9 +44,6 @@ fn bench_telemetry(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("baseline", |b| {
         b.iter(|| black_box(run_slice(base.clone())))
-    });
-    group.bench_function("null_sink", |b| {
-        b.iter(|| black_box(run_slice(null_sim.clone())))
     });
     group.bench_function("ring_sink", |b| {
         b.iter(|| black_box(run_slice(ring_sim.clone())))

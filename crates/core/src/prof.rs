@@ -2,8 +2,8 @@
 //!
 //! This is the pad-specific layer over [`simkit::prof`]: the named
 //! stages of [`crate::sim::ClusterSim::step`] as a fixed [`StepPhase`]
-//! vocabulary, the [`SimProfiler`] the simulator drives behind a
-//! Null-gated fast path (like telemetry and tracing), the merged
+//! vocabulary, the [`SimProfiler`] the simulator holds only while
+//! profiling (like telemetry and tracing), the merged
 //! [`SimProfile`] a profiled run yields, and the [`PerfReport`] the
 //! `padsim perf` subcommand serializes (pinned by
 //! `tests/data/perf_schema.txt` and gated in CI against a checked-in
@@ -108,7 +108,9 @@ pub struct SimProfiler {
 }
 
 impl SimProfiler {
-    fn with(mut prof: Profiler, rack_count: usize) -> Self {
+    /// A recording profiler over a `rack_count`-rack simulator.
+    pub fn new(rack_count: usize) -> Self {
+        let mut prof = Profiler::new();
         let ids = StepPhase::ALL.map(|p| prof.register(p.name()));
         let total_id = prof.register(STEP_TOTAL);
         SimProfiler {
@@ -119,23 +121,6 @@ impl SimProfiler {
             steps: 0,
             rack_seconds: 0.0,
         }
-    }
-
-    /// A recording profiler over a `rack_count`-rack simulator.
-    pub fn live(rack_count: usize) -> Self {
-        SimProfiler::with(Profiler::live(), rack_count)
-    }
-
-    /// A disabled profiler: same phase vocabulary, every hook a single
-    /// branch.
-    pub fn null(rack_count: usize) -> Self {
-        SimProfiler::with(Profiler::null(), rack_count)
-    }
-
-    /// Whether laps are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.prof.enabled()
     }
 
     /// Records one lap against `phase`.
@@ -523,7 +508,7 @@ mod tests {
 
     #[test]
     fn phase_vocabulary_is_stable() {
-        let profiler = SimProfiler::live(4);
+        let profiler = SimProfiler::new(4);
         let profile = profiler.into_profile();
         let names: Vec<&str> = profile
             .phases
@@ -537,19 +522,8 @@ mod tests {
     }
 
     #[test]
-    fn null_profiler_accounts_nothing() {
-        let mut profiler = SimProfiler::null(4);
-        profiler.record_phase(StepPhase::Attack, Duration::from_millis(1));
-        profiler.finish_step(SimDuration::from_millis(100), None);
-        let profile = profiler.into_profile();
-        assert_eq!(profile.steps, 0);
-        assert_eq!(profile.rack_seconds, 0.0);
-        assert_eq!(profile.step_wall(), Duration::ZERO);
-    }
-
-    #[test]
     fn rack_seconds_accumulate_per_step() {
-        let mut profiler = SimProfiler::live(22);
+        let mut profiler = SimProfiler::new(22);
         for _ in 0..10 {
             profiler.finish_step(
                 SimDuration::from_millis(100),
@@ -564,7 +538,7 @@ mod tests {
 
     #[test]
     fn coverage_is_lap_sum_over_step_total() {
-        let mut profiler = SimProfiler::live(2);
+        let mut profiler = SimProfiler::new(2);
         profiler.record_phase(StepPhase::Attack, Duration::from_micros(60));
         profiler.record_phase(StepPhase::Battery, Duration::from_micros(38));
         profiler.finish_step(

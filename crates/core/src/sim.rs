@@ -45,9 +45,9 @@ use simkit::fault::{FaultKind, FaultPlan, FaultTarget};
 use simkit::log::{EventLog, Severity};
 use simkit::prof::LapTimer;
 use simkit::rng::RngStream;
-use simkit::telemetry::{EventKind, RingRecorder, TelemetryDump, TelemetrySink};
+use simkit::telemetry::{EventKind, TelemetryDump};
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::{RingSpanRecorder, SpanSink, TraceDump};
+use simkit::trace::TraceDump;
 use workload::trace::ClusterTrace;
 
 use crate::detect::{DetectConfig, SimDetectors};
@@ -344,8 +344,8 @@ pub struct ClusterSim {
     detectors: Option<SimDetectors>,
     /// Causal sim-time span tracing, when enabled.
     tracer: Option<SimTracer>,
-    /// Performance self-profiler, if enabled (Null-gated like telemetry
-    /// and tracing; reads the wall clock only, never sim state).
+    /// Performance self-profiler, when enabled (reads the wall clock
+    /// only, never sim state).
     prof: Option<SimProfiler>,
     /// Fault injection and degraded-mode control plane, when enabled.
     faults: Option<SimFaults>,
@@ -548,23 +548,11 @@ impl ClusterSim {
     /// records (oldest records are evicted once full; the eviction count
     /// is carried into the final dump).
     pub fn enable_telemetry(&mut self, ring_capacity: usize) {
-        self.enable_telemetry_sink(TelemetrySink::Ring(RingRecorder::new(ring_capacity)));
-    }
-
-    /// Enables telemetry into an explicit sink. With
-    /// [`TelemetrySink::Null`] only registry aggregates and event
-    /// counters are maintained — the per-tick gauge loop is skipped.
-    pub fn enable_telemetry_sink(&mut self, sink: TelemetrySink) {
         self.telemetry = Some(SimTelemetry::new(
             self.racks.len(),
             self.config.rack_nameplate().0,
-            sink,
+            ring_capacity,
         ));
-    }
-
-    /// The live telemetry state, if enabled.
-    pub fn telemetry(&self) -> Option<&SimTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Takes the telemetry state out as a serializable dump (sorted into
@@ -596,19 +584,7 @@ impl ClusterSim {
     /// spans (oldest spans are evicted once full; the eviction count is
     /// carried into the final dump).
     pub fn enable_tracing(&mut self, ring_capacity: usize) {
-        self.enable_tracing_sink(SpanSink::Ring(RingSpanRecorder::new(ring_capacity)));
-    }
-
-    /// Enables span tracing into an explicit sink. With
-    /// [`SpanSink::Null`] the tracer is inert and the per-tick span
-    /// bookkeeping is skipped entirely.
-    pub fn enable_tracing_sink(&mut self, sink: SpanSink) {
-        self.tracer = Some(SimTracer::new(self.racks.len(), sink, self.now));
-    }
-
-    /// The live span tracer, if enabled.
-    pub fn tracing(&self) -> Option<&SimTracer> {
-        self.tracer.as_ref()
+        self.tracer = Some(SimTracer::new(self.racks.len(), ring_capacity, self.now));
     }
 
     /// Takes the span trace out as a dump, closing still-open spans at
@@ -624,20 +600,7 @@ impl ClusterSim {
     /// monotonic clock — enabling it does not perturb any simulation
     /// output byte.
     pub fn enable_profiling(&mut self) {
-        self.prof = Some(SimProfiler::live(self.racks.len()));
-    }
-
-    /// Installs an explicit profiler instance. With
-    /// [`SimProfiler::null`] every hot-loop hook stays a single branch
-    /// and nothing is recorded — the disabled-path cost the prof bench
-    /// asserts stays within 5% of an uninstrumented run.
-    pub fn enable_profiler(&mut self, profiler: SimProfiler) {
-        self.prof = Some(profiler);
-    }
-
-    /// The live profiler, if enabled.
-    pub fn profiling(&self) -> Option<&SimProfiler> {
-        self.prof.as_ref()
+        self.prof = Some(SimProfiler::new(self.racks.len()));
     }
 
     /// Takes the profiler out as its serializable profile. Profiling is
@@ -817,6 +780,24 @@ impl ClusterSim {
         }
     }
 
+    /// Records one forensic fact once: a line in the event log and, while
+    /// telemetry is recording, the matching typed event carrying `value`.
+    fn record_event(
+        &mut self,
+        now: SimTime,
+        severity: Severity,
+        kind: EventKind,
+        source: impl Into<String>,
+        message: impl Into<String>,
+        value: f64,
+    ) {
+        let source = source.into();
+        if let Some(t) = &mut self.telemetry {
+            t.event(now, kind, &source, value);
+        }
+        self.log.record(now, severity, source, message);
+    }
+
     /// Ends the current profiling lap, attributing it to `phase`. With
     /// profiling disabled the lap timer is inert and this is one branch.
     #[inline]
@@ -835,74 +816,71 @@ impl ClusterSim {
         let n = self.racks.len();
         let budget = self.config.rack_budget();
         let tol = 1.0 + self.config.overshoot_tolerance;
-        // Whether the per-tick gauge series are being retained; typed
-        // events and counters are recorded whenever telemetry is enabled
-        // at all, but the heavy per-rack loop only runs for live sinks.
-        let telemetry_on = self.telemetry.as_ref().is_some_and(SimTelemetry::recording);
-        // Whether the streaming detector stack consumes the same per-tick
-        // readings (it does so even when no telemetry sink records them).
+        // Every instrument is either absent or recording, so "is it on"
+        // is one `is_some` each. The per-tick readings feed telemetry and
+        // the detector stack alike (detection runs without telemetry).
+        let telemetry_on = self.telemetry.is_some();
         let detection_on = self.detectors.is_some();
-        // Whether causal span tracing is live; with a null span sink the
-        // tracer reports disabled and every span hook below is skipped.
-        let tracing_on = self.tracer.as_ref().is_some_and(SimTracer::enabled);
-        // Whether step-phase wall-clock laps are being recorded. The lap
-        // clock tiles the step: each boundary below attributes the time
-        // since the previous boundary to the stage that just ran, so the
-        // per-phase totals sum to the measured step wall time.
-        let prof_on = self.prof.as_ref().is_some_and(SimProfiler::enabled);
-        let mut lap = LapTimer::start(prof_on);
+        // The lap clock tiles the step: each boundary below attributes
+        // the time since the previous boundary to the stage that just
+        // ran, so the per-phase totals sum to the measured step wall
+        // time. Without a profiler the timer is inert.
+        let mut lap = LapTimer::start(self.prof.is_some());
 
         // 0a. Fault windows: detect opens/closes on the injected plan,
         // emit forensic events (so incident reconstruction can attribute
         // outages to faults vs attacks), and apply/restore component
         // faults exactly on the edge. With no injector installed this
         // whole stage is one branch.
-        if let Some(f) = &mut self.faults {
-            for e in f.begin_step(now) {
-                let source = match e.target {
-                    FaultTarget::Unit(u) if u < n => RackId(u).to_string(),
-                    _ => "cluster".to_string(),
+        let edges = match &mut self.faults {
+            Some(f) => f.begin_step(now),
+            None => Vec::new(),
+        };
+        for e in edges {
+            let source = match e.target {
+                FaultTarget::Unit(u) if u < n => RackId(u).to_string(),
+                _ => "cluster".to_string(),
+            };
+            let (event_kind, severity, what) = if e.injected {
+                (
+                    EventKind::FaultInjected,
+                    Severity::Warning,
+                    "fault injected",
+                )
+            } else {
+                (EventKind::FaultCleared, Severity::Info, "fault cleared")
+            };
+            self.record_event(
+                now,
+                severity,
+                event_kind,
+                source,
+                format!("{}: {}", what, e.kind),
+                e.spec as f64,
+            );
+            if let Some(tr) = &mut self.tracer {
+                let rack = match e.target {
+                    FaultTarget::Unit(u) => u as f64,
+                    FaultTarget::All => -1.0,
                 };
-                let (event_kind, severity, what) = if e.injected {
-                    (
-                        EventKind::FaultInjected,
-                        Severity::Warning,
-                        "fault injected",
-                    )
-                } else {
-                    (EventKind::FaultCleared, Severity::Info, "fault cleared")
-                };
-                self.log.record(
-                    now,
-                    severity,
-                    source.clone(),
-                    format!("{}: {}", what, e.kind),
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, event_kind, &source, e.spec as f64);
-                }
-                if tracing_on {
-                    if let Some(tr) = &mut self.tracer {
-                        let rack = match e.target {
-                            FaultTarget::Unit(u) => u as f64,
-                            FaultTarget::All => -1.0,
-                        };
-                        tr.fault_window(now, e.spec, e.kind.index(), rack, e.injected);
-                    }
-                }
-                if matches!(
-                    e.kind,
-                    FaultKind::ComponentDerate { .. } | FaultKind::CapacityFade { .. }
-                ) {
-                    // Recompute from scratch so overlapping windows
-                    // compose (most severe wins) and clears restore the
-                    // next-most-severe factor, not blindly 1.0.
-                    for (r, rack) in self.racks.iter_mut().enumerate() {
-                        if e.target.covers(r) {
-                            rack.breaker_mut().set_derate(f.breaker_derate(now, r));
-                            rack.cabinet_mut()
-                                .set_capacity_factor(f.capacity_factor(now, r));
-                        }
+                tr.fault_window(now, e.spec, e.kind.index(), rack, e.injected);
+            }
+            if matches!(
+                e.kind,
+                FaultKind::ComponentDerate { .. } | FaultKind::CapacityFade { .. }
+            ) {
+                let f = self
+                    .faults
+                    .as_ref()
+                    .expect("fault edges come from the injector");
+                // Recompute from scratch so overlapping windows compose
+                // (most severe wins) and clears restore the
+                // next-most-severe factor, not blindly 1.0.
+                for (r, rack) in self.racks.iter_mut().enumerate() {
+                    if e.target.covers(r) {
+                        rack.breaker_mut().set_derate(f.breaker_derate(now, r));
+                        rack.cabinet_mut()
+                            .set_capacity_factor(f.capacity_factor(now, r));
                     }
                 }
             }
@@ -958,10 +936,8 @@ impl ClusterSim {
                     a.slots.push(next);
                 }
             }
-            if tracing_on {
-                if let Some(tr) = &mut self.tracer {
-                    tr.attack_phase(now, ai, a.victim.0, a.slots.len(), phase);
-                }
+            if let Some(tr) = &mut self.tracer {
+                tr.attack_phase(now, ai, a.victim.0, a.slots.len(), phase);
             }
             let rack = &mut self.racks[a.victim.0];
             let drive = match phase {
@@ -1162,10 +1138,8 @@ impl ClusterSim {
                             "coordinator plan fresh again - fallback cleared"
                         },
                     );
-                    if tracing_on {
-                        if let Some(tr) = &mut self.tracer {
-                            tr.fault_fallback(now, r, entered);
-                        }
+                    if let Some(tr) = &mut self.tracer {
+                        tr.fault_fallback(now, r, entered);
                     }
                 }
                 // Only materialize the per-rack cap map while some rack
@@ -1294,15 +1268,14 @@ impl ClusterSim {
             self.racks[r].breaker_mut().step(draw, dt);
             if !was_tripped && self.racks[r].breaker().is_tripped() {
                 self.breaker_trips += 1;
-                self.log.record(
+                self.record_event(
                     now,
                     Severity::Critical,
+                    EventKind::BreakerTrip,
                     RackId(r).to_string(),
                     "feed breaker tripped - rack dark until operator reset",
+                    1.0,
                 );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::BreakerTrip, &RackId(r).to_string(), 1.0);
-                }
             }
         }
         let cluster_limit = self.pdu.config().budget * tol;
@@ -1325,45 +1298,42 @@ impl ClusterSim {
         self.pdu.step(cluster_draw, dt);
         if !pdu_was_tripped && self.pdu.breaker().is_tripped() {
             self.breaker_trips += 1;
-            self.log.record(
+            self.record_event(
                 now,
                 Severity::Critical,
+                EventKind::BreakerTrip,
                 "pdu",
                 "cluster feed breaker tripped",
+                1.0,
             );
-            if let Some(t) = &mut self.telemetry {
-                t.event(now, EventKind::BreakerTrip, "pdu", 1.0);
-            }
         }
         if let Some(event) = first_overload {
             let where_ = event
                 .rack
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "cluster feed".to_string());
-            self.log.record(
+            self.record_event(
                 now,
                 Severity::Critical,
-                where_.clone(),
+                EventKind::Overload,
+                where_,
                 format!(
                     "overload: draw {:.0} exceeded limit {:.0}",
                     event.draw.0, event.limit.0
                 ),
+                event.draw.0,
             );
-            if let Some(t) = &mut self.telemetry {
-                t.event(now, EventKind::Overload, &where_, event.draw.0);
-            }
         }
         if self.config.protective_response && first_overload.is_some() {
             if self.protective_until.is_none_or(|until| now >= until) {
-                self.log.record(
+                self.record_event(
                     now,
                     Severity::Warning,
+                    EventKind::ProtectiveCap,
                     "operator",
                     "protective cluster-wide 20% cap engaged (3 min)",
+                    1.0,
                 );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::ProtectiveCap, "operator", 1.0);
-                }
             }
             self.protective_until = Some(now + SimDuration::from_mins(3));
         }
@@ -1501,15 +1471,14 @@ impl ClusterSim {
                 } else {
                     Severity::Info
                 };
-                self.log.record(
+                self.record_event(
                     now,
                     severity,
+                    EventKind::LevelChange,
                     "policy",
                     format!("{} -> {}", self.seen_level, level),
+                    level.number() as f64,
                 );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::LevelChange, "policy", level.number() as f64);
-                }
                 self.seen_level = level;
             }
             let pool_soc = self.vdeb.pool_soc(&socs);
@@ -1543,18 +1512,17 @@ impl ClusterSim {
                             self.config.topology.servers_per_rack(),
                         );
                         if !plan.is_noop() {
-                            self.log.record(
+                            self.record_event(
                                 now,
                                 Severity::Critical,
+                                EventKind::Migration,
                                 "migrator",
                                 format!(
                                     "migrating {:.0} W of load off vulnerable racks",
                                     plan.moved.0
                                 ),
+                                plan.moved.0,
                             );
-                            if let Some(t) = &mut self.telemetry {
-                                t.event(now, EventKind::Migration, "migrator", plan.moved.0);
-                            }
                             for (r, &d) in plan.deltas.iter().enumerate() {
                                 self.migration_offsets[r] += d;
                             }
@@ -1571,19 +1539,18 @@ impl ClusterSim {
                         self.racks[r].shed_servers(count);
                     }
                     if plan.total() != self.seen_shed {
-                        self.log.record(
+                        self.record_event(
                             now,
                             Severity::Critical,
+                            EventKind::Shed,
                             "shedder",
                             format!(
                                 "load shedding: {} servers asleep ({:.1}% of the cluster)",
                                 plan.total(),
                                 plan.ratio(self.config.topology.total_servers()) * 100.0
                             ),
+                            plan.total() as f64,
                         );
-                        if let Some(t) = &mut self.telemetry {
-                            t.event(now, EventKind::Shed, "shedder", plan.total() as f64);
-                        }
                         self.seen_shed = plan.total();
                     }
                 }
@@ -1595,11 +1562,14 @@ impl ClusterSim {
                     }
                 }
                 if was_shedding {
-                    self.log
-                        .record(now, Severity::Info, "shedder", "all servers woken");
-                    if let Some(t) = &mut self.telemetry {
-                        t.event(now, EventKind::Wake, "shedder", 1.0);
-                    }
+                    self.record_event(
+                        now,
+                        Severity::Info,
+                        EventKind::Wake,
+                        "shedder",
+                        "all servers woken",
+                        1.0,
+                    );
                     self.seen_shed = 0;
                 }
                 // Migrated load trickles back home once the emergency
@@ -1639,15 +1609,14 @@ impl ClusterSim {
             let count = self.racks[r].cabinet().disconnect_count();
             if count > self.seen_disconnects[r] {
                 self.seen_disconnects[r] = count;
-                self.log.record(
+                self.record_event(
                     now,
                     Severity::Warning,
+                    EventKind::LvdIsolation,
                     RackId(r).to_string(),
                     "battery isolated by low-voltage disconnect (vulnerability window open)",
+                    1.0,
                 );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::LvdIsolation, &RackId(r).to_string(), 1.0);
-                }
             }
         }
 
@@ -1672,37 +1641,35 @@ impl ClusterSim {
                     cap_duty: self.cappers[r].current(),
                     breaker_margin: self.racks[r].breaker().thermal_headroom(),
                 };
-                if telemetry_on {
-                    if let Some(t) = &mut self.telemetry {
-                        t.record_rack(now, r, tick);
-                    }
+                if let Some(t) = &mut self.telemetry {
+                    t.record_rack(now, r, tick);
                 }
                 if let Some(d) = &mut self.detectors {
                     d.observe_rack(now, r, &tick);
                 }
             }
-            if telemetry_on {
-                if let Some(t) = &mut self.telemetry {
-                    t.record_cluster(now, cluster_draw.0, self.policy.level().number());
-                }
+            if let Some(t) = &mut self.telemetry {
+                t.record_cluster(now, cluster_draw.0, self.policy.level().number());
             }
+            let mut fired = None;
             if let Some(d) = &mut self.detectors {
                 d.observe_cluster(now, cluster_draw.0);
-                if let Some(fused) = d.end_tick(now) {
-                    let severity = fused.severity(d.config().confirm_votes);
-                    self.log.record(
-                        now,
-                        severity,
-                        "detect",
-                        format!(
-                            "fused detector verdict fired ({} votes, score {:.2})",
-                            fused.votes, fused.score
-                        ),
-                    );
-                    if let Some(t) = &mut self.telemetry {
-                        t.event(now, EventKind::DetectorFired, "detect", fused.score);
-                    }
-                }
+                fired = d
+                    .end_tick(now)
+                    .map(|fused| (fused.severity(d.config().confirm_votes), fused));
+            }
+            if let Some((severity, fused)) = fired {
+                self.record_event(
+                    now,
+                    severity,
+                    EventKind::DetectorFired,
+                    "detect",
+                    format!(
+                        "fused detector verdict fired ({} votes, score {:.2})",
+                        fused.votes, fused.score
+                    ),
+                    fused.score,
+                );
             }
         }
 
@@ -1711,25 +1678,23 @@ impl ClusterSim {
         // µDEB shaving, effective DVFS cap, breaker-margin excursions)
         // and policy residencies open/close on value edges, parented
         // under the attack spans that caused them.
-        if tracing_on {
-            if let Some(tr) = &mut self.tracer {
-                for r in 0..n {
-                    let mut cap_factor = self.cappers[r].current();
-                    if protective {
-                        cap_factor = cap_factor.min(0.8);
-                    }
-                    tr.rack_tick(
-                        now,
-                        r,
-                        battery_shave[r].0,
-                        sc_shave[r].0,
-                        cap_factor,
-                        self.racks[r].breaker().thermal_headroom(),
-                        dt_secs,
-                    );
+        if let Some(tr) = &mut self.tracer {
+            for r in 0..n {
+                let mut cap_factor = self.cappers[r].current();
+                if protective {
+                    cap_factor = cap_factor.min(0.8);
                 }
-                tr.policy_level(now, self.policy.level());
+                tr.rack_tick(
+                    now,
+                    r,
+                    battery_shave[r].0,
+                    sc_shave[r].0,
+                    cap_factor,
+                    self.racks[r].breaker().thermal_headroom(),
+                    dt_secs,
+                );
             }
+            tr.policy_level(now, self.policy.level());
         }
 
         self.prof_lap(&mut lap, StepPhase::Telemetry);

@@ -14,13 +14,12 @@
 //! first becomes active (discharge watts > 0, cap factor < 1, breaker
 //! margin below [`BREAKER_EXCURSION_MARGIN`]) and closes on the tick it
 //! returns to rest, carrying summary attributes (energy shaved, extreme
-//! value reached) set at close time. All bookkeeping is gated on
-//! [`SimTracer::enabled`] — with a null sink the simulator skips every
-//! call.
+//! value reached) set at close time. A simulator that does not trace
+//! holds no `SimTracer` and skips every call.
 
 use attack::phases::AttackPhase;
 use simkit::time::SimTime;
-use simkit::trace::{SpanId, SpanNameId, SpanSink, TraceDump, Tracer};
+use simkit::trace::{SpanId, SpanNameId, TraceDump, Tracer};
 
 use crate::policy::SecurityLevel;
 
@@ -147,10 +146,15 @@ pub struct SimTracer {
 }
 
 impl SimTracer {
-    /// Creates a tracer for `n_racks` racks over `sink`, opening the
-    /// initial `policy.normal` residency span at `now`.
-    pub fn new(n_racks: usize, sink: SpanSink, now: SimTime) -> Self {
-        let mut tracer = Tracer::new(sink);
+    /// Creates a tracer for `n_racks` racks that keeps the newest
+    /// `capacity` finished spans, opening the initial `policy.normal`
+    /// residency span at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(n_racks: usize, capacity: usize, now: SimTime) -> Self {
+        let mut tracer = Tracer::new(capacity);
         let names = NameIds {
             attack_drain: tracer.intern(SPAN_ATTACK_DRAIN),
             attack_spike: tracer.intern(SPAN_ATTACK_SPIKE),
@@ -182,12 +186,6 @@ impl SimTracer {
             fault_windows: Vec::new(),
             fault_fallbacks: vec![None; n_racks],
         }
-    }
-
-    /// `false` when the sink is null and callers should skip their span
-    /// bookkeeping entirely.
-    pub fn enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// Number of spans currently open.
@@ -478,10 +476,9 @@ impl SimTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::trace::RingSpanRecorder;
 
     fn tracer() -> SimTracer {
-        SimTracer::new(2, SpanSink::Ring(RingSpanRecorder::new(256)), SimTime::ZERO)
+        SimTracer::new(2, 256, SimTime::ZERO)
     }
 
     fn name_of(dump: &TraceDump, i: usize) -> &str {
@@ -653,12 +650,5 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn null_sink_tracer_is_disabled() {
-        let tr = SimTracer::new(2, SpanSink::Null, SimTime::ZERO);
-        assert!(!tr.enabled());
-        assert!(tr.into_dump(SimTime::from_secs(1)).spans.is_empty());
     }
 }

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use simkit::alert::{render_alerts_prom, AlertEngine};
 use simkit::telemetry::{
-    render_prometheus_families, MetricDigest, MetricRegistry, TelemetryReport,
+    render_prometheus_families, render_prometheus_reports, MetricRegistry, TelemetryReport,
 };
 
 use crate::state::{Counters, DaemonState};
@@ -225,7 +225,10 @@ fn route(state: &DaemonState, path: &str) -> Reply {
                 "metrics" => {
                     let report = TelemetryReport::from_records(&guard.records);
                     let label = format!("tenant=\"{}\"", guard.name);
-                    Reply::ok("text/plain", report.render_prometheus_labeled(&label))
+                    Reply::ok(
+                        "text/plain",
+                        render_prometheus_reports(&[(&label, &report)]),
+                    )
                 }
                 "alerts" => match guard.alerts_json() {
                     Some(doc) => Reply::ok("application/json", doc),
@@ -527,67 +530,16 @@ fn render_metrics(state: &DaemonState) -> String {
         );
     }
 
-    type Aggregate = (&'static str, &'static str, fn(&MetricDigest) -> f64);
-    let aggregates: [Aggregate; 6] = [
-        ("pad_metric_count", "samples recorded", |d| {
-            d.stats.count() as f64
-        }),
-        ("pad_metric_mean", "mean of samples", |d| d.stats.mean()),
-        ("pad_metric_min", "minimum sample", |d| d.stats.min()),
-        ("pad_metric_max", "maximum sample", |d| d.stats.max()),
-        ("pad_metric_p50", "median sample", |d| d.summary.median()),
-        ("pad_metric_p95", "95th percentile sample", |d| {
-            d.summary.percentile(95.0)
-        }),
-    ];
-    for (name, help, f) in aggregates {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for s in &snaps {
-            for metric in s.report.metric_names() {
-                let digest = s.report.metric(metric).expect("name from the report");
-                let _ = writeln!(
-                    out,
-                    "{name}{{tenant=\"{}\",metric=\"{metric}\"}} {}",
-                    s.name,
-                    f(digest)
-                );
-            }
-        }
-    }
-    if snaps.iter().any(|s| s.report.events().next().is_some()) {
-        let _ = writeln!(out, "# HELP pad_events_total events recorded, by kind");
-        let _ = writeln!(out, "# TYPE pad_events_total counter");
-        for s in &snaps {
-            for event in s.report.events() {
-                let _ = writeln!(
-                    out,
-                    "pad_events_total{{tenant=\"{}\",kind=\"{}\"}} {}",
-                    s.name, event.kind, event.count
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "# HELP pad_trace_samples_total samples in the trace");
-    let _ = writeln!(out, "# TYPE pad_trace_samples_total counter");
-    for s in &snaps {
-        let _ = writeln!(
-            out,
-            "pad_trace_samples_total{{tenant=\"{}\"}} {}",
-            s.name,
-            s.report.sample_count()
-        );
-    }
-    let _ = writeln!(out, "# HELP pad_trace_span_ms latest sim-time in the trace");
-    let _ = writeln!(out, "# TYPE pad_trace_span_ms gauge");
-    for s in &snaps {
-        let _ = writeln!(
-            out,
-            "pad_trace_span_ms{{tenant=\"{}\"}} {}",
-            s.name,
-            s.report.span_ms()
-        );
-    }
+    let labels: Vec<String> = snaps
+        .iter()
+        .map(|s| format!("tenant=\"{}\"", s.name))
+        .collect();
+    let reports: Vec<(&str, &TelemetryReport)> = labels
+        .iter()
+        .zip(&snaps)
+        .map(|(label, s)| (label.as_str(), &s.report))
+        .collect();
+    out.push_str(&render_prometheus_reports(&reports));
     out
 }
 

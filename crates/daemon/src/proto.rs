@@ -20,6 +20,7 @@
 //! JSON (for `end`) / `ok shutdown`. Data lines are never
 //! acknowledged, so a sender can stream at full throughput.
 
+use simkit::intern::valid_name;
 use simkit::telemetry::Format;
 
 /// Maximum accepted tenant-name length.
@@ -65,15 +66,10 @@ pub enum Line {
 }
 
 /// `true` for names safe to appear in file names and Prometheus labels:
-/// 1–64 chars drawn from `[A-Za-z0-9._-]`, not starting with a dot or
-/// dash.
+/// 1–64 chars drawn from `[A-Za-z0-9._-]` (the shared name charset), not
+/// starting with a dot or dash.
 pub fn valid_tenant(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= MAX_TENANT_LEN
-        && !name.starts_with(['.', '-'])
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
+    valid_name(name) && name.len() <= MAX_TENANT_LEN && !name.starts_with(['.', '-'])
 }
 
 /// Classifies one line (without its trailing newline).

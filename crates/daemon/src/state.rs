@@ -2,7 +2,7 @@
 //! wall-clock ops histograms, the bounded ops log, per-tenant alert
 //! monitors, and the crash-recovery checkpoint codec.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -14,6 +14,7 @@ use pad::pipeline::{
 use pad::policy::SecurityLevel;
 use simkit::alert::{AlertEvent, AlertRule};
 use simkit::jsonio::{JsonParser, ObjFields};
+use simkit::ring::BoundedRing;
 use simkit::telemetry::{
     parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord,
 };
@@ -147,10 +148,8 @@ pub struct OpsEntry {
 /// counts evictions, so `/logs` is always a cheap, bounded read.
 #[derive(Debug)]
 pub struct OpsLog {
-    entries: VecDeque<OpsEntry>,
+    entries: BoundedRing<OpsEntry>,
     next_seq: u64,
-    dropped: u64,
-    cap: usize,
 }
 
 /// Entries the ops-log ring retains before evicting the oldest.
@@ -159,18 +158,12 @@ pub const OPS_LOG_CAP: usize = 1024;
 impl OpsLog {
     fn new(cap: usize) -> Self {
         OpsLog {
-            entries: VecDeque::new(),
+            entries: BoundedRing::new(cap),
             next_seq: 0,
-            dropped: 0,
-            cap,
         }
     }
 
     fn push(&mut self, kind: &'static str, tenant: &str, detail: &str) {
-        if self.entries.len() == self.cap {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
         // The entries render as JSON without escaping, so any byte that
         // would need an escape is squashed to keep `/logs` well-formed
         // whatever an error message drags in.
@@ -182,7 +175,7 @@ impl OpsLog {
                 c => c,
             })
             .collect();
-        self.entries.push_back(OpsEntry {
+        self.entries.push(OpsEntry {
             seq: self.next_seq,
             kind,
             tenant: tenant.to_string(),
@@ -194,7 +187,7 @@ impl OpsLog {
     /// Oldest-retained-first JSONL, one entry per line (`/logs`).
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in &self.entries {
+        for e in self.entries.iter() {
             out.push_str(&format!(
                 "{{\"seq\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"detail\":\"{}\"}}\n",
                 e.seq, e.kind, e.tenant, e.detail
@@ -221,7 +214,7 @@ impl OpsLog {
 
     /// Entries evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.entries.evicted()
     }
 
     /// Entries currently retained.

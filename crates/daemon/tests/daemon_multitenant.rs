@@ -5,7 +5,7 @@
 mod common;
 
 use common::{recorded_run, RecordedRun, TestDaemon};
-use paddaemon::client::{http_get, Conn};
+use paddaemon::client::{http_get, send, Conn, SendJob};
 use std::io::{BufRead, BufReader, Write};
 
 /// Deterministic xorshift shuffle — arrival order varies by seed but
@@ -121,4 +121,69 @@ fn arrival_order_does_not_change_any_tenant_output() {
     );
     assert_eq!(per_order[0][0], runs[0].1.summary_json);
     assert_eq!(per_order[0][1], runs[1].1.summary_json);
+}
+
+/// A metric name outside the wire charset costs its tenant one parse
+/// error and nothing else: it never becomes a series, so every label
+/// value in the merged `/metrics` exposition stays quote-free, and the
+/// other tenant's series read the same before and after.
+#[test]
+fn off_charset_metric_name_is_one_parse_error_of_its_tenant() {
+    let daemon = TestDaemon::start("badname");
+    let good = "{\"t\":0,\"m\":\"rack-00.draw_w\",\"v\":100}\n\
+                {\"t\":100,\"m\":\"rack-00.draw_w\",\"v\":101}\n";
+    let stream = |tenant: &str, telemetry: String| {
+        let job = SendJob {
+            tenant: tenant.to_string(),
+            format: "jsonl",
+            telemetry,
+            end: true,
+            ..SendJob::default()
+        };
+        send(&daemon.data_addr, &job).unwrap();
+        http_get(&daemon.http_addr, "/metrics").unwrap().1
+    };
+    // The tenant's `pad_*` series, with its label replaced so two
+    // tenants' series compare directly.
+    let series = |metrics: &str, tenant: &str| -> Vec<String> {
+        let label = format!("tenant=\"{tenant}\"");
+        metrics
+            .lines()
+            .filter(|l| l.starts_with("pad_") && l.contains(&label))
+            .map(|l| l.replace(&label, "tenant=\"T\""))
+            .collect()
+    };
+
+    let before = stream("clean", good.to_string());
+    let after = stream(
+        "hostile",
+        format!("{good}{{\"t\":100,\"m\":\"a\\\"b\",\"v\":2}}\n"),
+    );
+
+    assert!(after.contains("padsimd_tenant_parse_errors_total{tenant=\"hostile\"} 1\n"));
+    assert!(after.contains("padsimd_tenant_parse_errors_total{tenant=\"clean\"} 0\n"));
+    for line in after.lines().filter(|l| !l.starts_with('#')) {
+        let Some((_, rest)) = line.split_once('{') else {
+            continue;
+        };
+        let block = &rest[..rest.rfind('}').expect("closed label block")];
+        assert_eq!(
+            block.matches('"').count(),
+            2 * block.split(',').count(),
+            "a label value carries a quote: {line}"
+        );
+    }
+    let clean = series(&before, "clean");
+    assert!(!clean.is_empty());
+    assert_eq!(
+        series(&after, "clean"),
+        clean,
+        "the clean tenant's series moved"
+    );
+    assert_eq!(
+        series(&after, "hostile"),
+        clean,
+        "the bad line left a series"
+    );
+    daemon.shutdown();
 }

@@ -109,22 +109,6 @@ impl PowerMeter {
         std::mem::take(&mut self.samples)
     }
 
-    /// Drains completed window samples into a telemetry recorder as
-    /// observations of `metric`, stamped at each window's start time.
-    /// Returns how many samples were drained.
-    pub fn drain_into(
-        &mut self,
-        recorder: &mut impl simkit::telemetry::Recorder,
-        metric: simkit::telemetry::MetricId,
-    ) -> usize {
-        let samples = self.take_samples();
-        let drained = samples.len();
-        for (window_start, power) in samples {
-            recorder.record_sample(window_start, metric, power.0);
-        }
-        drained
-    }
-
     /// Flushes the current (partial) window as a final sample. The partial
     /// window still averages over the *full* interval, matching how real
     /// energy counters are read out.
@@ -275,28 +259,6 @@ mod tests {
         m.flush();
         // Partial 5 s of 1 kW over a 10 s interval = 500 W average.
         assert_eq!(m.samples(), &[(SimTime::ZERO, Watts(500.0))]);
-    }
-
-    #[test]
-    fn drain_into_records_window_samples() {
-        use simkit::telemetry::{MetricRegistry, Record, RingRecorder};
-
-        let mut reg = MetricRegistry::new();
-        let metered = reg.register_gauge("rack-00.metered_w");
-        let mut ring = RingRecorder::new(16);
-        let mut m = PowerMeter::new(SimDuration::from_secs(10));
-        m.feed(Watts(500.0), SimTime::ZERO, SimDuration::from_secs(20));
-        assert_eq!(m.drain_into(&mut ring, metered), 2);
-        assert!(m.samples().is_empty(), "samples were drained");
-        let records: Vec<_> = ring.records().collect();
-        match records[1] {
-            Record::Sample(s) => {
-                assert_eq!(s.metric, metered);
-                assert_eq!(s.time, SimTime::from_secs(10));
-                assert_eq!(s.value, 500.0);
-            }
-            other => panic!("expected sample, got {other:?}"),
-        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! stream resumes. The rule arms only after [`DEADMAN_MIN_GAPS`]
 //! observed gaps, so a stream's first wobbly intervals can't fire it.
 
+use crate::intern::valid_name;
 use crate::jsonio::{Json, JsonParser, ObjFields};
 use crate::stats::Summary;
 use crate::telemetry::{MetricKind, MetricRegistry};
@@ -205,18 +206,13 @@ impl AlertRule {
     /// Checks the rule's name and metric against the charset both the
     /// registry and the label renderers assume.
     pub fn validate(&self) -> Result<(), String> {
-        let ok = |s: &str| {
-            !s.is_empty()
-                && s.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        };
-        if !ok(&self.name) {
+        if !valid_name(&self.name) {
             return Err(format!(
                 "rule name {:?} must be non-empty [A-Za-z0-9._-]",
                 self.name
             ));
         }
-        if !ok(self.kind.metric()) {
+        if !valid_name(self.kind.metric()) {
             return Err(format!(
                 "rule {:?} metric {:?} must be non-empty [A-Za-z0-9._-]",
                 self.name,

@@ -17,12 +17,14 @@
 //! * [`series`] — fixed-step time-series containers with resampling;
 //! * [`table`] and [`heatmap`] — plain-text renderers used to print the
 //!   paper's tables and figure series;
-//! * [`telemetry`] — a deterministic metrics registry, per-tick trace
-//!   recording (`Recorder` sinks, JSONL/CSV codecs) and offline trace
-//!   inspection;
-//! * [`trace`] — sim-time **spans** with causal parent links (`SpanSink`
-//!   recording, JSONL/CSV codecs) and forensic incident reconstruction
-//!   over a recorded span trace;
+//! * [`telemetry`] — a deterministic metrics registry, the per-tick
+//!   record stream, JSONL/CSV codecs and offline trace inspection;
+//! * [`trace`] — sim-time **spans** with causal parent links, JSONL/CSV
+//!   codecs and forensic incident reconstruction over a recorded span
+//!   trace;
+//! * [`ring`] and [`intern`] — the bounded evict-oldest ring every
+//!   retained stream lives in, and the name interner plus the one
+//!   `[A-Za-z0-9._-]` name check every instrument shares;
 //! * [`alert`] — a deterministic alerting rule engine (threshold,
 //!   rate-of-change, deadman/staleness rules with for-duration hold and
 //!   hysteresis) evaluated over any metric registry at caller-chosen
@@ -40,9 +42,9 @@
 //! * [`mc`] — a bounded exhaustive model checker (DFS/BFS over action
 //!   interleavings, FNV-1a state fingerprints for visited-set pruning,
 //!   pluggable safety/liveness properties, counterexample traces);
-//! * [`prof`] — Null-gated self-profiling (interned phase IDs, lap
-//!   timers with per-phase call/total/max aggregates, and throughput
-//!   accounting for the simulated-work-per-wall-second CI number).
+//! * [`prof`] — self-profiling (interned phase IDs, lap timers with
+//!   per-phase call/total/max aggregates, and throughput accounting for
+//!   the simulated-work-per-wall-second CI number).
 //!
 //! # Example
 //!
@@ -73,10 +75,12 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod heatmap;
+pub mod intern;
 pub mod jsonio;
 pub mod log;
 pub mod mc;
 pub mod prof;
+pub mod ring;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -101,13 +105,9 @@ pub mod prelude {
     pub use crate::sweep::{
         scenario_seed, scenario_stream, Metered, SweepProfile, SweepRunner, WorkerProfile,
     };
-    pub use crate::telemetry::{
-        EventKind, MetricId, MetricRegistry, Recorder, RingRecorder, TelemetryDump, TelemetrySink,
-    };
+    pub use crate::telemetry::{EventKind, MetricId, MetricRegistry, TelemetryDump};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{
-        RingSpanRecorder, Span, SpanId, SpanRecorder, SpanSink, TraceDump, Tracer,
-    };
+    pub use crate::trace::{Span, SpanId, TraceDump, Tracer};
 }
 
 pub use detect::{Detector, DetectorBank, FusedVerdict, StreamDetector, Verdict};
@@ -121,6 +121,6 @@ pub use rng::RngStream;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, ScenarioCost};
 pub use sweep::{Metered, SweepRunner};
-pub use telemetry::{MetricId, MetricRegistry, Recorder, TelemetryDump, TelemetrySink};
+pub use telemetry::{MetricId, MetricRegistry, TelemetryDump};
 pub use time::{SimDuration, SimTime};
-pub use trace::{SpanId, SpanSink, TraceDump, Tracer};
+pub use trace::{SpanId, TraceDump, Tracer};

@@ -7,13 +7,11 @@
 //!
 //! Retention is **per severity**: each severity level has its own
 //! bounded lane, so a flood of Info noise can never evict the Critical
-//! incidents a post-mortem actually needs. Severity filtering happens at
-//! push time ([`EventLog::with_min_severity`]) — filtered events are
-//! never buffered, so they cannot displace anything.
+//! incidents a post-mortem actually needs.
 
-use std::collections::VecDeque;
 use std::fmt;
 
+use crate::ring::BoundedRing;
 use crate::time::SimTime;
 
 /// Log severity.
@@ -84,17 +82,13 @@ impl fmt::Display for LogEvent {
 
 /// A bounded in-memory event log with per-severity retention.
 ///
-/// Each severity keeps its own lane of at most its cap (by default, the
-/// log's overall capacity), and the oldest event *of that severity* is
-/// evicted when its lane fills. This fixes the classic bounded-buffer
-/// failure where an Info flood silently evicts the rare Critical events:
-/// here Info can only evict Info. Eviction counts are kept so consumers
-/// know the log is partial, and [`events`](EventLog::events) merges the
-/// lanes back into recording order via per-event sequence numbers.
-///
-/// Events below a minimum severity ([`with_min_severity`]
-/// (EventLog::with_min_severity)) are dropped at push time — counted in
-/// [`filtered`](EventLog::filtered), never buffered.
+/// Each severity keeps its own [`BoundedRing`] lane of at most the log's
+/// capacity, and the oldest event *of that severity* is evicted when its
+/// lane fills. This fixes the classic bounded-buffer failure where an
+/// Info flood silently evicts the rare Critical events: here Info can
+/// only evict Info. Eviction counts are kept so consumers know the log
+/// is partial, and [`events`](EventLog::events) merges the lanes back
+/// into recording order via per-event sequence numbers.
 ///
 /// # Example
 ///
@@ -109,12 +103,8 @@ impl fmt::Display for LogEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventLog {
-    lanes: [VecDeque<(u64, LogEvent)>; LANES],
-    caps: [usize; LANES],
-    min_severity: Severity,
+    lanes: [BoundedRing<(u64, LogEvent)>; LANES],
     next_seq: u64,
-    evicted: u64,
-    filtered: u64,
 }
 
 impl EventLog {
@@ -125,38 +115,10 @@ impl EventLog {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "log capacity must be non-zero");
         EventLog {
-            lanes: std::array::from_fn(|_| VecDeque::new()),
-            caps: [capacity; LANES],
-            min_severity: Severity::Info,
+            lanes: std::array::from_fn(|_| BoundedRing::new(capacity)),
             next_seq: 0,
-            evicted: 0,
-            filtered: 0,
         }
-    }
-
-    /// Drops events below `severity` at push time (they are counted in
-    /// [`filtered`](EventLog::filtered) but never buffered).
-    pub fn with_min_severity(mut self, severity: Severity) -> Self {
-        self.min_severity = severity;
-        self
-    }
-
-    /// Overrides the retention cap for one severity lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_severity_cap(mut self, severity: Severity, cap: usize) -> Self {
-        assert!(cap > 0, "log capacity must be non-zero");
-        self.caps[severity.idx()] = cap;
-        self
-    }
-
-    /// The push-time severity floor.
-    pub fn min_severity(&self) -> Severity {
-        self.min_severity
     }
 
     /// Records one event.
@@ -167,18 +129,9 @@ impl EventLog {
         source: impl Into<String>,
         message: impl Into<String>,
     ) {
-        if severity < self.min_severity {
-            self.filtered += 1;
-            return;
-        }
-        let lane = &mut self.lanes[severity.idx()];
-        if lane.len() == self.caps[severity.idx()] {
-            lane.pop_front();
-            self.evicted += 1;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        lane.push_back((
+        self.lanes[severity.idx()].push((
             seq,
             LogEvent {
                 time,
@@ -192,29 +145,25 @@ impl EventLog {
     /// All retained events, oldest first (lanes merged back into
     /// recording order).
     pub fn events(&self) -> impl ExactSizeIterator<Item = &LogEvent> {
-        let mut merged: Vec<&(u64, LogEvent)> = self.lanes.iter().flatten().collect();
+        let mut merged: Vec<&(u64, LogEvent)> =
+            self.lanes.iter().flat_map(BoundedRing::iter).collect();
         merged.sort_by_key(|(seq, _)| *seq);
         merged.into_iter().map(|(_, e)| e)
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum()
+        self.lanes.iter().map(BoundedRing::len).sum()
     }
 
     /// `true` if nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
+        self.lanes.iter().all(BoundedRing::is_empty)
     }
 
     /// How many events were evicted to respect lane capacities.
     pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// How many events were dropped at push time by the severity floor.
-    pub fn filtered(&self) -> u64 {
-        self.filtered
+        self.lanes.iter().map(BoundedRing::evicted).sum()
     }
 
     /// Events at or above `severity`, in recording order.
@@ -237,16 +186,13 @@ impl EventLog {
     /// A footer line summarizes retained counts per severity (so a reader
     /// can see at a glance how many warnings/criticals — e.g. injected
     /// faults — the run produced). When the log is partial, a second
-    /// footer line reports how many events were evicted by lane capacity
-    /// and how many were filtered by the severity floor, so readers know
-    /// what is missing.
+    /// footer line reports how many events were evicted by lane capacity,
+    /// so readers know what is missing.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if self.evicted > 0 {
-            out.push_str(&format!(
-                "... {} earlier events evicted ...\n",
-                self.evicted
-            ));
+        let evicted = self.evicted();
+        if evicted > 0 {
+            out.push_str(&format!("... {evicted} earlier events evicted ...\n"));
         }
         for e in self.events() {
             out.push_str(&format!("{e}\n"));
@@ -260,11 +206,8 @@ impl EventLog {
                 .collect();
             out.push_str(&format!("-- severity: {} --\n", parts.join(", ")));
         }
-        if self.evicted > 0 || self.filtered > 0 {
-            out.push_str(&format!(
-                "-- partial log: {} evicted, {} filtered --\n",
-                self.evicted, self.filtered
-            ));
+        if evicted > 0 {
+            out.push_str(&format!("-- partial log: {evicted} evicted --\n"));
         }
         out
     }
@@ -320,59 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn per_severity_caps_are_independent() {
-        let mut log = EventLog::new(10)
-            .with_severity_cap(Severity::Info, 2)
-            .with_severity_cap(Severity::Critical, 5);
-        for i in 0..4u64 {
-            log.record(SimTime::from_secs(i), Severity::Info, "s", format!("i{i}"));
-            log.record(
-                SimTime::from_secs(i),
-                Severity::Critical,
-                "s",
-                format!("c{i}"),
-            );
-        }
-        let infos: Vec<_> = log
-            .events()
-            .filter(|e| e.severity == Severity::Info)
-            .map(|e| e.message.clone())
-            .collect();
-        assert_eq!(infos, vec!["i2", "i3"], "Info lane capped at 2");
-        assert_eq!(log.at_least(Severity::Critical).count(), 4);
-        assert_eq!(log.evicted(), 2);
-    }
-
-    #[test]
-    fn min_severity_filters_at_push_time() {
-        let mut log = EventLog::new(2).with_min_severity(Severity::Warning);
-        // A flood of below-floor events must not evict anything.
-        for i in 0..50u64 {
-            log.record(SimTime::from_secs(i), Severity::Info, "s", "noise");
-        }
-        log.record(SimTime::ZERO, Severity::Warning, "s", "capping");
-        log.record(SimTime::ZERO, Severity::Critical, "s", "trip");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.filtered(), 50);
-        assert_eq!(log.evicted(), 0, "filtered events never occupied a slot");
-        assert_eq!(log.min_severity(), Severity::Warning);
-    }
-
-    #[test]
-    fn render_footer_reports_evicted_and_filtered() {
+    fn render_footer_reports_evictions() {
         // Complete log: no footer.
         let mut log = EventLog::new(10);
         log.record(SimTime::ZERO, Severity::Info, "s", "ok");
         assert!(!log.render().contains("partial log"));
 
-        // Evictions and severity filtering both surface in the footer.
-        let mut log = EventLog::new(2).with_min_severity(Severity::Warning);
+        // Evictions from every lane add up in the footer.
+        let mut log = EventLog::new(2);
         for i in 0..3u64 {
             log.record(SimTime::from_secs(i), Severity::Info, "s", "noise");
             log.record(SimTime::from_secs(i), Severity::Warning, "s", "warn");
         }
         let text = log.render();
-        assert!(text.ends_with("-- partial log: 1 evicted, 3 filtered --\n"));
+        assert!(text.ends_with("-- partial log: 2 evicted --\n"));
     }
 
     #[test]
@@ -425,11 +329,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         EventLog::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_lane_cap_rejected() {
-        let _ = EventLog::new(1).with_severity_cap(Severity::Info, 0);
     }
 }

@@ -1,14 +1,14 @@
-//! Null-gated self-profiling: interned phase IDs, monotonic wall-clock
-//! phase timers, and throughput accounting.
+//! Self-profiling: interned phase IDs, monotonic wall-clock phase
+//! timers, and throughput accounting.
 //!
 //! The profiler follows the same discipline as [`crate::telemetry`] and
-//! [`crate::trace`]: a *null* instance keeps every hot-loop hook a single
-//! branch (the disabled path must stay within a few percent of an
-//! uninstrumented build), while a *live* instance aggregates per-phase
-//! call-count / total / max wall-clock durations against interned
-//! [`PhaseId`]s handed out in registration order. Phase timings read the
-//! monotonic clock only — they never feed back into simulation state, so
-//! enabling profiling cannot perturb a single output byte.
+//! [`crate::trace`]: an instrument is either absent — the caller holds
+//! no profiler, and every hot-loop hook is one untaken branch — or
+//! recording, when a [`Profiler`] aggregates per-phase call-count /
+//! total / max wall-clock durations against interned [`PhaseId`]s handed
+//! out in registration order. Phase timings read the monotonic clock
+//! only — they never feed back into simulation state, so enabling
+//! profiling cannot perturb a single output byte.
 //!
 //! Wall-clock numbers are bookkeeping, not part of any determinism
 //! contract: call counts and registration order are reproducible, the
@@ -19,11 +19,11 @@
 //! ```
 //! use simkit::prof::{LapTimer, Profiler};
 //!
-//! let mut prof = Profiler::live();
+//! let mut prof = Profiler::new();
 //! let plan = prof.register("step.plan");
 //! let apply = prof.register("step.apply");
 //!
-//! let mut lap = LapTimer::start(prof.enabled());
+//! let mut lap = LapTimer::start(true);
 //! // ... planning work ...
 //! if let Some(d) = lap.lap() {
 //!     prof.add(plan, d);
@@ -39,6 +39,8 @@
 //! ```
 
 use std::time::{Duration, Instant};
+
+use crate::intern::Interner;
 
 /// An interned phase handle: a dense index into the profiler's phase
 /// table, handed out in registration order (the same discipline as
@@ -88,62 +90,34 @@ impl PhaseStats {
 }
 
 /// A self-profiler: interned phase names with per-phase aggregates.
-///
-/// A [`Profiler::null`] instance rejects nothing but records nothing —
-/// [`Profiler::add`] is a single branch — so callers can install one
-/// unconditionally and pay only when [`Profiler::live`] was chosen.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Profiler {
-    enabled: bool,
-    names: Vec<String>,
+    names: Interner,
     stats: Vec<PhaseStats>,
 }
 
 impl Profiler {
-    /// A disabled profiler: registration still interns names (so the
-    /// phase vocabulary stays identical either way), but every `add` is
-    /// a no-op.
-    pub fn null() -> Self {
-        Profiler {
-            enabled: false,
-            names: Vec::new(),
-            stats: Vec::new(),
-        }
-    }
-
-    /// A recording profiler.
-    pub fn live() -> Self {
-        Profiler {
-            enabled: true,
-            names: Vec::new(),
-            stats: Vec::new(),
-        }
-    }
-
-    /// Whether laps are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// A recording profiler with no phases registered.
+    pub fn new() -> Self {
+        Profiler::default()
     }
 
     /// Interns `name`, returning its dense id. Registering the same name
     /// twice returns the original id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the phase table is full (`u16::MAX` names).
     pub fn register(&mut self, name: &str) -> PhaseId {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return PhaseId(i as u16);
-        }
-        assert!(self.names.len() < u16::MAX as usize, "phase table full");
-        self.names.push(name.to_string());
-        self.stats.push(PhaseStats::default());
-        PhaseId((self.names.len() - 1) as u16)
+        let id = PhaseId(self.names.intern(name));
+        self.stats.resize(self.names.len(), PhaseStats::default());
+        id
     }
 
-    /// Records one lap against `id`. A null profiler ignores the call.
+    /// Records one lap against `id`.
     #[inline]
     pub fn add(&mut self, id: PhaseId, elapsed: Duration) {
-        if self.enabled {
-            self.stats[id.0 as usize].record(elapsed);
-        }
+        self.stats[id.0 as usize].record(elapsed);
     }
 
     /// The aggregate for `id`.
@@ -156,10 +130,10 @@ impl Profiler {
         ProfDump {
             phases: self
                 .names
-                .into_iter()
+                .names()
                 .zip(self.stats)
                 .map(|(name, stats)| PhaseProfile {
-                    name,
+                    name: name.to_string(),
                     calls: stats.calls,
                     total: stats.total,
                     max: stats.max,
@@ -320,17 +294,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_profiler_records_nothing() {
-        let mut prof = Profiler::null();
-        let id = prof.register("p");
-        prof.add(id, Duration::from_millis(5));
-        assert_eq!(prof.stats(id).calls, 0);
-        assert!(!prof.enabled());
-    }
-
-    #[test]
     fn live_profiler_aggregates_count_total_max() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let id = prof.register("p");
         prof.add(id, Duration::from_millis(2));
         prof.add(id, Duration::from_millis(5));
@@ -344,7 +309,7 @@ mod tests {
 
     #[test]
     fn registration_interns_and_preserves_order() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let a = prof.register("a");
         let b = prof.register("b");
         assert_eq!(prof.register("a"), a);
@@ -363,7 +328,7 @@ mod tests {
 
     #[test]
     fn laps_tile_the_section() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let a = prof.register("a");
         let b = prof.register("b");
         let mut lap = LapTimer::start(true);

@@ -170,7 +170,8 @@ impl TelemetryReport {
 
     /// Renders the report in Prometheus text exposition format
     /// (`padsim inspect --prom`), so a recorded trace can be pushed
-    /// into any Prometheus-compatible toolchain.
+    /// into any Prometheus-compatible toolchain — the unlabeled form of
+    /// [`render_prometheus_reports`].
     ///
     /// Each metric's aggregates become gauges labelled by metric name
     /// (`pad_metric_mean{metric="rack-00.draw_w"} 123.45`), each event
@@ -178,47 +179,50 @@ impl TelemetryReport {
     /// deterministic (BTreeMap iteration), and values use Rust's `f64`
     /// `Display`, matching the trace codec's determinism contract.
     pub fn render_prometheus(&self) -> String {
-        self.render_prometheus_labeled("")
+        render_prometheus_reports(&[("", self)])
     }
+}
 
-    /// Like [`render_prometheus`](TelemetryReport::render_prometheus),
-    /// but with an extra label pair (e.g. `tenant="acme"`) injected
-    /// into every sample line, so several reports can share one
-    /// exposition without colliding series — the shape a multi-tenant
-    /// daemon serves from its `/metrics` endpoint. An empty `extra`
-    /// reproduces the unlabeled exposition byte for byte.
-    pub fn render_prometheus_labeled(&self, extra: &str) -> String {
-        use std::fmt::Write as _;
-        type Aggregate = (&'static str, &'static str, fn(&MetricDigest) -> f64);
-        // Prefix for lines that already carry a label, suffix block for
-        // lines that otherwise carry none.
-        let pre = if extra.is_empty() {
-            String::new()
-        } else {
-            format!("{extra},")
-        };
-        let solo = if extra.is_empty() {
-            String::new()
-        } else {
-            format!("{{{extra}}}")
-        };
-        let mut out = String::new();
-        let aggregates: [Aggregate; 6] = [
-            ("pad_metric_count", "samples recorded", |d| {
-                d.stats.count() as f64
-            }),
-            ("pad_metric_mean", "mean of samples", |d| d.stats.mean()),
-            ("pad_metric_min", "minimum sample", |d| d.stats.min()),
-            ("pad_metric_max", "maximum sample", |d| d.stats.max()),
-            ("pad_metric_p50", "median sample", |d| d.summary.median()),
-            ("pad_metric_p95", "95th percentile sample", |d| {
-                d.summary.percentile(95.0)
-            }),
-        ];
-        for (name, help, f) in aggregates {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for digest in self.metrics.values() {
+/// Renders several reports as one Prometheus text exposition: every
+/// family gets a single `# HELP`/`# TYPE` block followed by each
+/// report's series in turn, tagged with that report's label pair (e.g.
+/// `tenant="acme"`) so reports never collide — the shape a multi-tenant
+/// daemon serves from `/metrics`. An empty label renders the unlabeled
+/// exposition of [`TelemetryReport::render_prometheus`] byte for byte.
+/// The event family appears when any report recorded an event.
+pub fn render_prometheus_reports(reports: &[(&str, &TelemetryReport)]) -> String {
+    use std::fmt::Write as _;
+    type Aggregate = (&'static str, &'static str, fn(&MetricDigest) -> f64);
+    // Per report: a prefix for lines that already carry a label, and a
+    // label block for lines that otherwise carry none.
+    let labeled: Vec<(String, String, &TelemetryReport)> = reports
+        .iter()
+        .map(|&(label, report)| {
+            if label.is_empty() {
+                (String::new(), String::new(), report)
+            } else {
+                (format!("{label},"), format!("{{{label}}}"), report)
+            }
+        })
+        .collect();
+    let mut out = String::new();
+    let aggregates: [Aggregate; 6] = [
+        ("pad_metric_count", "samples recorded", |d| {
+            d.stats.count() as f64
+        }),
+        ("pad_metric_mean", "mean of samples", |d| d.stats.mean()),
+        ("pad_metric_min", "minimum sample", |d| d.stats.min()),
+        ("pad_metric_max", "maximum sample", |d| d.stats.max()),
+        ("pad_metric_p50", "median sample", |d| d.summary.median()),
+        ("pad_metric_p95", "95th percentile sample", |d| {
+            d.summary.percentile(95.0)
+        }),
+    ];
+    for (name, help, f) in aggregates {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        for (pre, _, report) in &labeled {
+            for digest in report.metrics.values() {
                 let _ = writeln!(
                     out,
                     "{name}{{{pre}metric=\"{}\"}} {}",
@@ -227,10 +231,12 @@ impl TelemetryReport {
                 );
             }
         }
-        if !self.events.is_empty() {
-            let _ = writeln!(out, "# HELP pad_events_total events recorded, by kind");
-            let _ = writeln!(out, "# TYPE pad_events_total counter");
-            for digest in self.events.values() {
+    }
+    if labeled.iter().any(|(_, _, r)| !r.events.is_empty()) {
+        let _ = writeln!(out, "# HELP pad_events_total events recorded, by kind");
+        let _ = writeln!(out, "# TYPE pad_events_total counter");
+        for (pre, _, report) in &labeled {
+            for digest in report.events.values() {
                 let _ = writeln!(
                     out,
                     "pad_events_total{{{pre}kind=\"{}\"}} {}",
@@ -238,14 +244,18 @@ impl TelemetryReport {
                 );
             }
         }
-        let _ = writeln!(out, "# HELP pad_trace_samples_total samples in the trace");
-        let _ = writeln!(out, "# TYPE pad_trace_samples_total counter");
-        let _ = writeln!(out, "pad_trace_samples_total{solo} {}", self.samples);
-        let _ = writeln!(out, "# HELP pad_trace_span_ms latest sim-time in the trace");
-        let _ = writeln!(out, "# TYPE pad_trace_span_ms gauge");
-        let _ = writeln!(out, "pad_trace_span_ms{solo} {}", self.span_ms);
-        out
     }
+    let _ = writeln!(out, "# HELP pad_trace_samples_total samples in the trace");
+    let _ = writeln!(out, "# TYPE pad_trace_samples_total counter");
+    for (_, solo, report) in &labeled {
+        let _ = writeln!(out, "pad_trace_samples_total{solo} {}", report.samples);
+    }
+    let _ = writeln!(out, "# HELP pad_trace_span_ms latest sim-time in the trace");
+    let _ = writeln!(out, "# TYPE pad_trace_span_ms gauge");
+    for (_, solo, report) in &labeled {
+        let _ = writeln!(out, "pad_trace_span_ms{solo} {}", report.span_ms);
+    }
+    out
 }
 
 #[cfg(test)]

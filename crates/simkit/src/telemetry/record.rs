@@ -1,7 +1,6 @@
 //! The records a telemetry trace is made of.
 //!
-//! Two record shapes flow through a [`Recorder`](crate::telemetry::Recorder):
-//! [`Sample`]s (one metric value at one simulation time) and
+//! Two record shapes make up the per-tick stream: [`Sample`]s (one metric value at one simulation time) and
 //! [`EventRecord`]s (one typed occurrence — a breaker trip, an LVD
 //! isolation — at one simulation time). Both carry [`SimTime`], never
 //! wall-clock, so a recorded trace is a pure function of the simulated
@@ -15,7 +14,7 @@
 //! registration order and emission happens in registration order, a
 //! single simulation already produces records in this order; the sort is
 //! the contract that makes it explicit (and repairs interleavings when
-//! multiple recorders are concatenated).
+//! several recordings are concatenated).
 
 use crate::telemetry::MetricId;
 use crate::time::SimTime;

@@ -14,8 +14,7 @@
 //! same pattern the sweep runner uses for results — instead of sharing
 //! one registry behind a mutex in the hot loop.
 
-use std::collections::BTreeMap;
-
+use crate::intern::{valid_name, Interner};
 use crate::jsonio::{write_f64, Json, ObjFields};
 use crate::stats::{Histogram, OnlineStats};
 
@@ -101,9 +100,8 @@ impl Instrument {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricRegistry {
-    names: Vec<String>,
+    names: Interner,
     instruments: Vec<Instrument>,
-    by_name: BTreeMap<String, MetricId>,
 }
 
 impl MetricRegistry {
@@ -114,13 +112,10 @@ impl MetricRegistry {
 
     fn register(&mut self, name: &str, kind: MetricKind, histogram: Option<Histogram>) -> MetricId {
         assert!(
-            !name.is_empty()
-                && name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')),
+            valid_name(name),
             "metric name {name:?} must be non-empty [A-Za-z0-9._-]"
         );
-        if let Some(&id) = self.by_name.get(name) {
+        if let Some(id) = self.id(name) {
             assert_eq!(
                 self.instruments[id.index()].kind,
                 kind,
@@ -128,11 +123,8 @@ impl MetricRegistry {
             );
             return id;
         }
-        assert!(self.names.len() < u16::MAX as usize, "metric registry full");
-        let id = MetricId(self.names.len() as u16);
-        self.names.push(name.to_string());
+        let id = MetricId(self.names.intern(name));
         self.instruments.push(Instrument::new(kind, histogram));
-        self.by_name.insert(name.to_string(), id);
         id
     }
 
@@ -172,7 +164,7 @@ impl MetricRegistry {
 
     /// Looks up a metric by name.
     pub fn id(&self, name: &str) -> Option<MetricId> {
-        self.by_name.get(name).copied()
+        self.names.get(name).map(MetricId)
     }
 
     /// Number of registered metrics.
@@ -187,12 +179,12 @@ impl MetricRegistry {
 
     /// The name of a metric.
     pub fn name(&self, id: MetricId) -> &str {
-        &self.names[id.index()]
+        self.names.name(id.0)
     }
 
     /// All metric names, in id (registration) order.
     pub fn names(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.names()
     }
 
     /// All ids, in registration order.

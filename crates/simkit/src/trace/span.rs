@@ -1,15 +1,11 @@
-//! Span records, span-name interning, and the recording sinks.
+//! Span records and span-name interning.
 //!
 //! A [`Span`] is one sim-time interval with a causal parent link — the
 //! trace analogue of the telemetry layer's point samples. Names are
-//! interned through [`SpanNames`] (the registry-style dense-id table),
-//! and finished spans flow into a [`SpanRecorder`] sink. [`SpanSink`] is
-//! the clonable enum simulations embed, mirroring
-//! [`TelemetrySink`](crate::telemetry::TelemetrySink): `Null` is the
-//! do-nothing fast path, `Ring` retains a bounded in-memory trace.
+//! interned through [`SpanNames`], the shared [`Interner`] behind a
+//! span-typed id.
 
-use std::collections::{BTreeMap, VecDeque};
-
+use crate::intern::{valid_name, Interner};
 use crate::time::SimTime;
 
 /// Identifies one span within a trace.
@@ -41,21 +37,13 @@ impl SpanNameId {
     }
 }
 
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-}
-
 /// Interns span names to dense [`SpanNameId`]s.
 ///
 /// Names are restricted to `[A-Za-z0-9._-]` (like metric names), so the
 /// wire formats never need escaping.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanNames {
-    names: Vec<String>,
-    by_name: BTreeMap<String, SpanNameId>,
+    names: Interner,
 }
 
 impl SpanNames {
@@ -72,14 +60,7 @@ impl SpanNames {
     /// `[A-Za-z0-9._-]`, or the table is full (`u16::MAX` names).
     pub fn intern(&mut self, name: &str) -> SpanNameId {
         assert!(valid_name(name), "invalid span name {name:?}");
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let index = u16::try_from(self.names.len()).expect("span name table full");
-        let id = SpanNameId(index);
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
-        id
+        SpanNameId(self.names.intern(name))
     }
 
     /// The name behind `id`.
@@ -88,7 +69,7 @@ impl SpanNames {
     ///
     /// Panics if `id` was minted by a different table.
     pub fn name(&self, id: SpanNameId) -> &str {
-        &self.names[id.index()]
+        self.names.name(id.0)
     }
 
     /// Number of interned names.
@@ -103,7 +84,7 @@ impl SpanNames {
 
     /// All interned names, in id order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.names()
     }
 }
 
@@ -143,113 +124,6 @@ pub fn sort_spans(spans: &mut [Span]) {
     spans.sort_by_key(|s| (s.start, s.id));
 }
 
-/// A sink for finished spans — the span analogue of
-/// [`Recorder`](crate::telemetry::Recorder).
-pub trait SpanRecorder {
-    /// `false` when recording is a no-op and callers may skip span
-    /// bookkeeping entirely (the Null-gated fast path).
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accepts one finished span. `names` resolves its interned ids.
-    fn record_span(&mut self, names: &SpanNames, span: Span);
-}
-
-/// A sink that drops every span (the fast path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NullSpanRecorder;
-
-impl SpanRecorder for NullSpanRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record_span(&mut self, _names: &SpanNames, _span: Span) {}
-}
-
-/// A bounded in-memory span sink: keeps the most recent `capacity`
-/// finished spans, counting evictions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingSpanRecorder {
-    buf: VecDeque<Span>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSpanRecorder {
-    /// Creates a ring holding at most `capacity` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be non-zero");
-        RingSpanRecorder {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Spans evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the ring, returning the retained spans in record order.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.buf.into()
-    }
-}
-
-impl SpanRecorder for RingSpanRecorder {
-    fn record_span(&mut self, _names: &SpanNames, span: Span) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(span);
-    }
-}
-
-/// The clonable span sink simulations embed, mirroring
-/// [`TelemetrySink`](crate::telemetry::TelemetrySink).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SpanSink {
-    /// Drop every span ([`NullSpanRecorder`] semantics).
-    #[default]
-    Null,
-    /// Retain a bounded in-memory trace.
-    Ring(RingSpanRecorder),
-}
-
-impl SpanRecorder for SpanSink {
-    fn enabled(&self) -> bool {
-        match self {
-            SpanSink::Null => false,
-            SpanSink::Ring(_) => true,
-        }
-    }
-
-    fn record_span(&mut self, names: &SpanNames, span: Span) {
-        match self {
-            SpanSink::Null => {}
-            SpanSink::Ring(ring) => ring.record_span(names, span),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,42 +147,6 @@ mod tests {
     #[should_panic(expected = "invalid span name")]
     fn bad_name_rejected() {
         SpanNames::new().intern("has space");
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts() {
-        let names = SpanNames::new();
-        let mut ring = RingSpanRecorder::new(2);
-        for i in 0..3u32 {
-            ring.record_span(
-                &names,
-                Span {
-                    id: SpanId(i),
-                    name: SpanNameId(0),
-                    parent: None,
-                    start: SimTime::from_millis(u64::from(i)),
-                    end: SimTime::from_millis(u64::from(i)),
-                    attrs: Vec::new(),
-                },
-            );
-        }
-        assert_eq!(ring.dropped(), 1);
-        let kept = ring.into_spans();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].id, SpanId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_ring_capacity_rejected() {
-        RingSpanRecorder::new(0);
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        assert!(!SpanSink::Null.enabled());
-        assert!(SpanSink::Ring(RingSpanRecorder::new(1)).enabled());
-        assert!(!NullSpanRecorder.enabled());
     }
 
     #[test]
