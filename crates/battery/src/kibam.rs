@@ -104,6 +104,10 @@ pub struct KibamBattery {
     rate_limit: Watts,
     /// Lifetime discharge throughput, for aging accounting.
     discharged_total: Joules,
+    /// Well-decay factor and discharge coefficient for
+    /// [`NOMINAL_STEP`]: they depend only on `params`, so they are
+    /// computed once instead of on every step of that length.
+    nominal: (f64, f64),
 }
 
 /// Reference step used when quoting an instantaneous max power.
@@ -127,6 +131,7 @@ impl KibamBattery {
             bound: capacity * (1.0 - params.c),
             rate_limit,
             discharged_total: Joules::ZERO,
+            nominal: Self::decay(params, NOMINAL_STEP),
         }
     }
 
@@ -217,28 +222,42 @@ impl KibamBattery {
     /// still equalizes the wells, modelling the *recovery effect*.
     pub fn rest(&mut self, dt: SimDuration) {
         if !dt.is_zero() {
-            self.apply_step(0.0, dt);
+            let coefs = self.step_coefficients(dt);
+            self.apply_step(0.0, dt, coefs);
         }
+    }
+
+    /// The state-independent part of a step of length `dt`: the
+    /// well-decay factor `e = exp(−k'·dt)` and the discharge coefficient
+    /// `b_coef`.
+    fn decay(params: KibamParams, dt: SimDuration) -> (f64, f64) {
+        let t = dt.as_secs_f64();
+        let k = params.k_prime;
+        let c = params.c;
+        let e = (-k * t).exp();
+        let b_coef = ((1.0 - e) + c * (k * t - 1.0 + e)) / k;
+        (e, b_coef)
     }
 
     /// Closed-form KiBaM step coefficients for a step of length `dt`:
     /// after the step, `available' = a_coef − i·b_coef` where `i` is the
     /// (constant) discharge power, and the well total drops by `i·dt`.
     fn step_coefficients(&self, dt: SimDuration) -> (f64, f64) {
-        let t = dt.as_secs_f64();
-        let k = self.params.k_prime;
+        let (e, b_coef) = if dt == NOMINAL_STEP {
+            self.nominal
+        } else {
+            Self::decay(self.params, dt)
+        };
         let c = self.params.c;
-        let e = (-k * t).exp();
         let y0 = self.available.0 + self.bound.0;
         let a_coef = self.available.0 * e + y0 * c * (1.0 - e);
-        let b_coef = ((1.0 - e) + c * (k * t - 1.0 + e)) / k;
         (a_coef, b_coef)
     }
 
     /// Applies the closed-form update for constant power `i` (positive =
-    /// discharge, negative = charge *into* the available well).
-    fn apply_step(&mut self, i: f64, dt: SimDuration) {
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+    /// discharge, negative = charge *into* the available well), given the
+    /// step's coefficients for the current wells.
+    fn apply_step(&mut self, i: f64, dt: SimDuration, (a_coef, b_coef): (f64, f64)) {
         let t = dt.as_secs_f64();
         let y0 = self.available.0 + self.bound.0;
         let new_available = (a_coef - i * b_coef).max(0.0);
@@ -286,7 +305,8 @@ impl EnergyStorage for KibamBattery {
         if power.0 <= 0.0 || dt.is_zero() {
             return Watts::ZERO;
         }
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+        let coefs = self.step_coefficients(dt);
+        let (a_coef, b_coef) = coefs;
         let i_max = if b_coef > 0.0 {
             (a_coef / b_coef).max(0.0)
         } else {
@@ -296,7 +316,7 @@ impl EnergyStorage for KibamBattery {
         if i <= 0.0 {
             return Watts::ZERO;
         }
-        self.apply_step(i, dt);
+        self.apply_step(i, dt, coefs);
         self.discharged_total += Watts(i) * dt;
         Watts(i)
     }
@@ -309,7 +329,8 @@ impl EnergyStorage for KibamBattery {
         let rate = power.0.min(self.rate_limit.0);
         // Power stored internally after conversion loss.
         let internal = rate * eta;
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+        let coefs = self.step_coefficients(dt);
+        let (a_coef, b_coef) = coefs;
         // Keep the available well within its own capacity...
         let well_cap = self.params.c * self.capacity.0;
         let i_well = if b_coef > 0.0 {
@@ -324,7 +345,7 @@ impl EnergyStorage for KibamBattery {
         if i <= 0.0 {
             return Watts::ZERO;
         }
-        self.apply_step(-i, dt);
+        self.apply_step(-i, dt, coefs);
         // Report the terminal power corresponding to what was stored.
         Watts(i / eta)
     }
@@ -463,7 +484,8 @@ mod tests {
     fn closed_form_matches_fine_euler_integration() {
         // Integrate the ODE with tiny Euler steps and compare.
         let mut exact = battery();
-        exact.apply_step(3_000.0, SimDuration::from_secs(10));
+        let step = SimDuration::from_secs(10);
+        exact.apply_step(3_000.0, step, exact.step_coefficients(step));
 
         let p = KibamParams::lead_acid();
         let (mut y1, mut y2) = (62_500.0f64, 37_500.0f64);

@@ -141,8 +141,12 @@ impl BatteryCabinet {
     /// the charge policy dictates and stores it. Returns the grid power
     /// actually consumed by charging.
     pub fn charge_step(&mut self, headroom: Watts, dt: SimDuration) -> Watts {
-        let desired = self.charger.desired_power(self.soc(), headroom);
-        let desired = self.fade_limited(desired, dt);
+        // The fade cap only ever lowers a request, so an idle one (the
+        // common case: a full pack) skips it and its division.
+        let desired = match self.charger.desired_power(self.soc(), headroom) {
+            idle if idle.0 <= 0.0 => idle,
+            wanted => self.fade_limited(wanted, dt),
+        };
         if desired.0 <= 0.0 {
             // Idle: still let the chemistry rest/diffuse.
             self.storage.inner_mut().rest(dt);

@@ -61,14 +61,7 @@ pub fn run(fidelity: Fidelity) -> Fig06 {
         }
         let rack = &sim.racks()[victim.0];
         workload.push(rack.demand() / nameplate * 100.0);
-        malicious.push(
-            rack.servers()[..NODES]
-                .iter()
-                .map(|s| s.utilization())
-                .sum::<f64>()
-                / NODES as f64
-                * 100.0,
-        );
+        malicious.push(rack.utilizations()[..NODES].iter().sum::<f64>() / NODES as f64 * 100.0);
         battery.push(rack.cabinet().soc() * 100.0);
     }
     let phase2_at = sim

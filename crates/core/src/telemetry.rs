@@ -272,7 +272,12 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut t = SimTelemetry::new(1, 1000.0, 3);
         for i in 0..5u64 {
-            t.event(SimTime::from_millis(i), EventKind::Shed, "shedder", i as f64);
+            t.event(
+                SimTime::from_millis(i),
+                EventKind::Shed,
+                "shedder",
+                i as f64,
+            );
         }
         let reg = t.registry();
         assert_eq!(

@@ -196,11 +196,14 @@ impl ClusterTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `series` is empty or geometries differ.
+    /// Panics if `series` is empty or geometries differ: every machine
+    /// must share one start, step and length, so one sample index
+    /// addresses the whole cluster (see [`ClusterTrace::sample_index`]).
     pub fn from_series(series: Vec<TimeSeries>) -> Self {
         let first = series.first().expect("trace needs at least one machine");
         let step = first.step();
         for s in &series {
+            assert_eq!(s.start(), first.start(), "machine series start mismatch");
             assert_eq!(s.step(), step, "machine series step mismatch");
             assert_eq!(s.len(), first.len(), "machine series length mismatch");
         }
@@ -267,6 +270,30 @@ impl ClusterTrace {
     /// A machine's utilization at a point in time.
     pub fn utilization_at(&self, machine: usize, t: SimTime) -> f64 {
         self.series[machine].value_at(t)
+    }
+
+    /// The sample index holding time `t`, the same for every machine:
+    /// `utilization_at(m, t)` is sample `sample_index(t)` of machine `m`.
+    pub fn sample_index(&self, t: SimTime) -> usize {
+        self.series[0].index_at(t)
+    }
+
+    /// Writes sample `index` of machines `0..row.len()` into `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is longer than the machine count or `index` is out
+    /// of range.
+    pub fn sample_row(&self, index: usize, row: &mut [f64]) {
+        assert!(
+            row.len() <= self.series.len(),
+            "row of {} machines from a trace of {}",
+            row.len(),
+            self.series.len()
+        );
+        for (u, series) in row.iter_mut().zip(&self.series) {
+            *u = series.values()[index];
+        }
     }
 
     /// Cluster-wide average utilization series.
@@ -447,6 +474,38 @@ mod tests {
         let stats = trace.summary();
         assert_eq!(stats.count(), 4);
         assert!((stats.mean() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_row_matches_per_machine_lookups() {
+        let series = (0..3)
+            .map(|m| {
+                TimeSeries::new(
+                    SimTime::ZERO,
+                    SimDuration::from_mins(1),
+                    vec![0.1 * m as f64, 0.2, 0.3 + 0.1 * m as f64],
+                )
+            })
+            .collect();
+        let trace = ClusterTrace::from_series(series);
+        let mut row = [0.0; 3];
+        for secs in [0, 59, 60, 119, 120, 600] {
+            let t = SimTime::from_secs(secs);
+            trace.sample_row(trace.sample_index(t), &mut row);
+            for (m, &u) in row.iter().enumerate() {
+                assert_eq!(u, trace.utilization_at(m, t), "machine {m} at {t}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "machine series start mismatch")]
+    fn from_series_rejects_staggered_starts() {
+        let step = SimDuration::from_mins(1);
+        ClusterTrace::from_series(vec![
+            TimeSeries::new(SimTime::ZERO, step, vec![0.5, 0.5]),
+            TimeSeries::new(SimTime::from_secs(30), step, vec![0.5, 0.5]),
+        ]);
     }
 
     #[test]
