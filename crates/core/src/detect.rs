@@ -347,46 +347,6 @@ impl SimDetectors {
         self.last_suspected = None;
         self.last_confirmed = None;
     }
-
-    /// Serializes the stack's mutable state: the bank plus the fused
-    /// rising-edge and evidence hold-window state. The private registry
-    /// is register-only (it never receives values) and the config is
-    /// structural, so neither is serialized — the bank snapshot's
-    /// labels/families validate that the rebuilt structure matches.
-    pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"bank\":");
-        out.push_str(&self.bank.snapshot_json());
-        let _ = write!(
-            out,
-            ",\"fused_was_fired\":{}",
-            u8::from(self.fused_was_fired)
-        );
-        if let Some(t) = self.last_suspected {
-            let _ = write!(out, ",\"last_suspected\":{}", t.as_millis());
-        }
-        if let Some(t) = self.last_confirmed {
-            let _ = write!(out, ",\"last_confirmed\":{}", t.as_millis());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
-    /// document into a stack built with the same rack count and config.
-    pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
-        use simkit::jsonio::ObjFields as _;
-        let obj = value.as_object("detector stack snapshot")?;
-        self.bank.restore_snapshot(obj.field("bank")?)?;
-        self.fused_was_fired = obj.u64_field("fused_was_fired")? != 0;
-        self.last_suspected = obj
-            .opt_u64_field("last_suspected")?
-            .map(SimTime::from_millis);
-        self.last_confirmed = obj
-            .opt_u64_field("last_confirmed")?
-            .map(SimTime::from_millis);
-        Ok(())
-    }
 }
 
 /// Tick-level scoring of a verdict stream against ground truth.

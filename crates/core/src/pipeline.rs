@@ -218,11 +218,6 @@ impl ReplayPipeline {
         }
     }
 
-    /// How many racks the detector stack watches.
-    pub fn rack_count(&self) -> usize {
-        self.stack.rack_count()
-    }
-
     /// The current policy level.
     pub fn level(&self) -> SecurityLevel {
         self.policy.level()
@@ -287,78 +282,6 @@ impl ReplayPipeline {
                 to,
             });
         }
-    }
-
-    /// Serializes the pipeline's complete mutable state — detector
-    /// stack, policy FSM, open tick, counters and the escalation log —
-    /// as one JSON object. Configuration (rack count, thresholds,
-    /// strictness) is structural: the restorer rebuilds the pipeline
-    /// with [`ReplayPipeline::new`] and the nested snapshots validate
-    /// that the rebuilt structure matches.
-    pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"stack\":");
-        out.push_str(&self.stack.snapshot_json());
-        out.push_str(",\"policy\":");
-        out.push_str(&self.policy.snapshot_json());
-        if let Some(t) = self.open_tick {
-            let _ = write!(out, ",\"open_tick\":{t}");
-        }
-        let _ = write!(
-            out,
-            ",\"records\":{},\"samples_fed\":{},\"events\":{},\"ticks\":{},\"fired_ticks\":{}",
-            self.records, self.samples_fed, self.events, self.ticks, self.fired_ticks
-        );
-        out.push_str(",\"escalations\":[");
-        for (i, e) in self.escalations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"from\":{},\"to\":{}}}",
-                e.time_ms,
-                e.from.number(),
-                e.to.number()
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
-    /// document into a pipeline built with the same rack count and
-    /// config. Ingesting the remainder of the interrupted stream then
-    /// produces a summary byte-identical to an uninterrupted run.
-    pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
-        use simkit::jsonio::ObjFields as _;
-        let level_from = |n: u64| -> Result<SecurityLevel, String> {
-            match n {
-                1 => Ok(SecurityLevel::Normal),
-                2 => Ok(SecurityLevel::MinorIncident),
-                3 => Ok(SecurityLevel::Emergency),
-                other => Err(format!("unknown level {other}")),
-            }
-        };
-        let obj = value.as_object("pipeline snapshot")?;
-        self.stack.restore_snapshot(obj.field("stack")?)?;
-        self.policy.restore_snapshot(obj.field("policy")?)?;
-        self.open_tick = obj.opt_u64_field("open_tick")?;
-        self.records = obj.u64_field("records")?;
-        self.samples_fed = obj.u64_field("samples_fed")?;
-        self.events = obj.u64_field("events")?;
-        self.ticks = obj.u64_field("ticks")?;
-        self.fired_ticks = obj.u64_field("fired_ticks")?;
-        self.escalations.clear();
-        for (i, item) in obj.arr_field("escalations")?.iter().enumerate() {
-            let eobj = item.as_object(&format!("escalation[{i}]"))?;
-            self.escalations.push(Escalation {
-                time_ms: eobj.u64_field("t")?,
-                from: level_from(eobj.u64_field("from")?)?,
-                to: level_from(eobj.u64_field("to")?)?,
-            });
-        }
-        Ok(())
     }
 
     /// Closes the final tick and folds everything into a summary.
@@ -1021,9 +944,10 @@ mod tests {
 
     #[test]
     fn pipeline_snapshot_resumes_byte_identically() {
-        // The headline recovery property, at the library layer: snapshot
-        // mid-stream at arbitrary cut points, rebuild from configuration,
-        // restore, ingest the rest — summary and alerts documents must be
+        // The headline recovery property, at the library layer: cut the
+        // stream at arbitrary points, rebuild the pipeline by replaying
+        // the records before the cut and the monitor from its snapshot,
+        // ingest the rest — summary and alerts documents must be
         // byte-identical to an uninterrupted run.
         let records = spiky_trace();
         let (full_summary, full_mon) = monitor_records(
@@ -1044,12 +968,12 @@ mod tests {
                     pipe.stack().bank().firings().len(),
                 );
             }
-            let pipe_doc =
-                simkit::jsonio::JsonParser::parse_document(&pipe.snapshot_json()).unwrap();
             let mon_doc = simkit::jsonio::JsonParser::parse_document(&mon.snapshot_json()).unwrap();
             let mut pipe2 = ReplayPipeline::new(1, PipelineConfig::default());
-            pipe2.restore_snapshot(&pipe_doc).unwrap();
-            assert_eq!(pipe2, pipe, "cut {cut}: restore must be bit-exact");
+            for r in &records[..cut] {
+                pipe2.ingest(r);
+            }
+            assert_eq!(pipe2, pipe, "cut {cut}: replay must be bit-exact");
             let mut mon2 = StreamMonitor::new(default_alert_rules());
             mon2.restore_snapshot(&mon_doc).unwrap();
             for r in &records[cut..] {
@@ -1066,14 +990,6 @@ mod tests {
             assert_eq!(summary.to_json(), full_summary.to_json(), "cut {cut}");
             assert_eq!(mon2.alerts_json(), full_mon.alerts_json(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn pipeline_restore_rejects_wrong_shape() {
-        let pipe = ReplayPipeline::new(2, PipelineConfig::default());
-        let doc = simkit::jsonio::JsonParser::parse_document(&pipe.snapshot_json()).unwrap();
-        let mut wrong_racks = ReplayPipeline::new(1, PipelineConfig::default());
-        assert!(wrong_racks.restore_snapshot(&doc).is_err());
     }
 
     #[test]

@@ -259,36 +259,6 @@ impl SecurityPolicy {
         self.transitions = 0;
         self.residency = 0;
     }
-
-    /// Serializes the FSM's mutable state (level, transition count,
-    /// residency). Strictness and hold-down are configuration and are
-    /// rebuilt by the caller.
-    pub fn snapshot_json(&self) -> String {
-        format!(
-            "{{\"level\":{},\"transitions\":{},\"residency\":{}}}",
-            self.level.number(),
-            self.transitions,
-            self.residency
-        )
-    }
-
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
-    /// document into a policy with the same configuration.
-    pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
-        use simkit::jsonio::ObjFields as _;
-        let obj = value.as_object("policy snapshot")?;
-        self.level = match obj.u64_field("level")? {
-            1 => SecurityLevel::Normal,
-            2 => SecurityLevel::MinorIncident,
-            3 => SecurityLevel::Emergency,
-            other => return Err(format!("unknown policy level {other}")),
-        };
-        self.transitions = obj.u64_field("transitions")?;
-        let residency = obj.u64_field("residency")?;
-        self.residency =
-            u32::try_from(residency).map_err(|_| format!("residency {residency} out of range"))?;
-        Ok(())
-    }
 }
 
 impl Default for SecurityPolicy {

@@ -41,9 +41,10 @@
 //!
 //! ## Crash tolerance
 //!
-//! With `--state-dir`, every tenant's full pipeline state (records,
-//! spans, detector/policy/alert snapshots) is checkpointed atomically
-//! at detector-tick boundaries and restored on startup; clients
+//! With `--state-dir`, every tenant's stream (records, spans and the
+//! alert monitor's snapshot) is checkpointed atomically at
+//! detector-tick boundaries and restored on startup, the detector
+//! pipeline rebuilt by replaying the records; clients
 //! re-attach with `hello <tenant> [fmt] resume <seq>` and rewind to
 //! the daemon's acked durable sequence number, so a `SIGKILL` at any
 //! point costs neither a replayed nor a dropped line.

@@ -943,7 +943,7 @@ mod tests {
             "later tick crossings plus the end-of-stream frame append to the journal"
         );
         let doc = std::fs::read_to_string(dir.join("ck.ckpt")).unwrap();
-        assert!(doc.starts_with("{\"version\":1,\"tenant\":\"ck\""), "{doc}");
+        assert!(doc.starts_with("{\"version\":2,\"tenant\":\"ck\""), "{doc}");
         let journal = std::fs::read_to_string(dir.join("ck.ckpt.log")).unwrap();
         assert!(journal.contains("\"finished\":1"), "end frame: {journal}");
         assert!(

@@ -16,9 +16,9 @@ use simkit::alert::{AlertEvent, AlertRule};
 use simkit::jsonio::{JsonParser, ObjFields};
 use simkit::ring::BoundedRing;
 use simkit::telemetry::{
-    parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord,
+    parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord, CSV_HEADER,
 };
-use simkit::trace::{parse_span_line, render_parsed_spans, ParsedSpan};
+use simkit::trace::{parse_span_line, render_parsed_spans, ParsedSpan, SPAN_CSV_HEADER};
 
 /// Monotonic daemon self-metrics, exported on `/metrics` as
 /// `padsimd_*` counters.
@@ -285,14 +285,14 @@ pub struct Tenant {
     /// [`reopen`](Tenant::reopen) rewinds to when a connection drop
     /// finalized a stream the client is still sending.
     pre_finish_monitor: Option<String>,
-    /// Buffered-line count at the last durable checkpoint write
-    /// (`None` until the stream is first checkpointed, and again after
-    /// a [`reset`](Tenant::reset)). Drives the amortized cadence in
-    /// [`checkpoint_due`](Tenant::checkpoint_due); runtime-only, never
-    /// serialized.
-    checkpointed_lines: Option<usize>,
-    /// Incrementally rendered canonical-JSONL records section of the
-    /// checkpoint document, paired with the record count it covers.
+    /// Whether a base checkpoint has been written for this stream
+    /// (cleared by [`reset`](Tenant::reset)). Until it has,
+    /// [`checkpoint_due`](Tenant::checkpoint_due) asks for a base write
+    /// rather than a journal frame; runtime-only, never serialized.
+    base_written: bool,
+    /// Incrementally rendered records section of the checkpoint
+    /// document (wire lines in the tenant's format), paired with the
+    /// record count it covers.
     /// Records are append-only while a stream is open, so each is
     /// rendered once per stream and a checkpoint write costs the delta
     /// since the last write plus one buffer copy — not a full
@@ -341,7 +341,7 @@ impl Tenant {
             config,
             monitor: None,
             pre_finish_monitor: None,
-            checkpointed_lines: None,
+            base_written: false,
             ckpt_records: (String::new(), 0),
             ckpt_spans: (String::new(), 0),
             journal_records: (0, 0),
@@ -372,7 +372,7 @@ impl Tenant {
         self.pipeline = None;
         self.summary = None;
         self.seq = 0;
-        self.checkpointed_lines = None;
+        self.base_written = false;
         self.ckpt_records = (String::new(), 0);
         self.ckpt_spans = (String::new(), 0);
         self.journal_records = (0, 0);
@@ -419,8 +419,8 @@ impl Tenant {
 
     /// The detector-side half of [`ingest_record`](Tenant::ingest_record):
     /// routes one record into the pipeline, creating it at the first
-    /// tick boundary. Also the replay kernel [`reopen`](Tenant::reopen)
-    /// uses to rebuild pipeline state from the record log.
+    /// tick boundary. Also the kernel of
+    /// [`replay_pipeline`](Tenant::replay_pipeline).
     fn feed_pipeline(&mut self, r: &ParsedRecord) {
         match &mut self.pipeline {
             Some(pipe) => pipe.ingest(r),
@@ -438,6 +438,23 @@ impl Tenant {
                 }
             }
         }
+    }
+
+    /// Rebuilds the pipeline from scratch by replaying the record log —
+    /// the only way pipeline state is ever rebuilt, shared by
+    /// [`reopen`](Tenant::reopen) and
+    /// [`restore_from_document`](Tenant::restore_from_document). Replay
+    /// is deterministic, so the result is bit-identical to the pipeline
+    /// that ingested the same records live under the same config.
+    fn replay_pipeline(&mut self) {
+        self.summary = None;
+        self.pipeline = None;
+        self.pending.clear();
+        let records = std::mem::take(&mut self.records);
+        for r in &records {
+            self.feed_pipeline(r);
+        }
+        self.records = records;
     }
 
     /// Builds the pipeline from the buffered first tick and drains the
@@ -528,14 +545,7 @@ impl Tenant {
         if self.monitor.is_some() && self.pre_finish_monitor.is_none() {
             return;
         }
-        self.summary = None;
-        self.pipeline = None;
-        self.pending.clear();
-        let records = std::mem::take(&mut self.records);
-        for r in &records {
-            self.feed_pipeline(r);
-        }
-        self.records = records;
+        self.replay_pipeline();
         if let (Some(mon), Some(snap)) = (&mut self.monitor, self.pre_finish_monitor.take()) {
             let parsed = JsonParser::parse_document(&snap)
                 .expect("pre-finish snapshot is self-generated JSON");
@@ -634,12 +644,11 @@ impl Tenant {
     /// checkpoint document (see [`checkpoint_schema`]).
     ///
     /// The document is line-oriented: a JSON meta line, then the
-    /// retained records and spans in canonical JSONL (the exact-inverse
-    /// codecs, so they round-trip bit-exactly regardless of the wire
-    /// format), then the pipeline and monitor snapshots. Checkpoints
-    /// carry only *value* state — configuration is structural and is
-    /// rebuilt by the restoring daemon, then validated against the
-    /// snapshot.
+    /// retained records and spans as wire lines in the tenant's format
+    /// (the exact-inverse codecs, so they round-trip bit-exactly), then
+    /// the monitor snapshot. The detector pipeline is not serialized:
+    /// a restore rebuilds it by replaying the records under the
+    /// restoring daemon's own configuration.
     ///
     /// Takes `&mut self` to top up the incremental render caches: the
     /// records and spans sections only ever grow while a stream is
@@ -665,9 +674,6 @@ impl Tenant {
             self.shed,
             u8::from(self.summary.is_some()),
         );
-        if let Some(pipe) = &self.pipeline {
-            let _ = write!(out, ",\"racks\":{}", pipe.rack_count());
-        }
         let _ = writeln!(
             out,
             ",\"has_monitor\":{}}}",
@@ -675,10 +681,6 @@ impl Tenant {
         );
         out.push_str(&self.ckpt_records.0);
         out.push_str(&self.ckpt_spans.0);
-        if let Some(pipe) = &self.pipeline {
-            out.push_str(&pipe.snapshot_json());
-            out.push('\n');
-        }
         if let Some(mon) = &self.monitor {
             // A finished stream checkpoints the monitor's PRE-finish
             // state: the restore re-runs the end-of-stream evaluation
@@ -696,16 +698,18 @@ impl Tenant {
     }
 
     /// Tops up the incremental render caches with any records and
-    /// spans accepted since the last call. Each line is rendered to
-    /// canonical JSONL exactly once per stream — base checkpoints copy
-    /// the caches whole, journal frames append only the suffix past
-    /// the durable marks.
+    /// spans accepted since the last call. Each line is rendered in the
+    /// tenant's format (the format restore parses it in) exactly once
+    /// per stream — base checkpoints copy the caches whole, journal
+    /// frames append only the suffix past the durable marks.
     fn refresh_ckpt_caches(&mut self) {
-        let delta = render_parsed(&self.records[self.ckpt_records.1..], Format::Jsonl);
-        self.ckpt_records.0.push_str(&delta);
+        let delta = render_parsed(&self.records[self.ckpt_records.1..], self.format);
+        let lines = delta.strip_prefix(CSV_HEADER).unwrap_or(&delta);
+        self.ckpt_records.0.push_str(lines);
         self.ckpt_records.1 = self.records.len();
-        let delta = render_parsed_spans(&self.spans[self.ckpt_spans.1..], Format::Jsonl);
-        self.ckpt_spans.0.push_str(&delta);
+        let delta = render_parsed_spans(&self.spans[self.ckpt_spans.1..], self.format);
+        let lines = delta.strip_prefix(SPAN_CSV_HEADER).unwrap_or(&delta);
+        self.ckpt_spans.0.push_str(lines);
         self.ckpt_spans.1 = self.spans.len();
     }
 
@@ -724,29 +728,37 @@ impl Tenant {
     /// The journal is bounded by the stream itself, which the
     /// backpressure watermark already caps.
     pub fn checkpoint_due(&self) -> bool {
-        self.checkpointed_lines.is_none()
+        !self.base_written
     }
 
     /// Restores the stream state serialized by
     /// [`checkpoint_document`](Tenant::checkpoint_document) into this
-    /// freshly constructed tenant (same name, config, and alert rules).
+    /// freshly constructed tenant (same name and alert rules). The
+    /// pipeline is rebuilt by replaying the restored records under this
+    /// tenant's config, and a finished stream is finalized again.
+    ///
+    /// Also reads version-1 documents, whose extra pipeline snapshot
+    /// line (announced by a `racks` meta field) is skipped.
     ///
     /// # Errors
     ///
     /// Returns a description of the first structural mismatch: wrong
     /// tenant name, version drift, truncated sections, malformed lines,
-    /// or snapshot state that does not fit the rebuilt configuration.
+    /// or monitor state that does not fit the rebuilt alert rules.
     pub fn restore_from_document(&mut self, text: &str) -> Result<(), String> {
         let mut lines = text.lines();
         let meta_line = lines.next().ok_or("empty checkpoint")?;
         let meta = JsonParser::parse_document(meta_line).map_err(|e| format!("meta: {e}"))?;
         let meta = meta.as_object("checkpoint meta")?;
-        let version = meta.u64_field("version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {version} (this daemon reads {CHECKPOINT_VERSION})"
-            ));
-        }
+        let has_pipeline_snapshot = match meta.u64_field("version")? {
+            1 => meta.opt_u64_field("racks")?.is_some(),
+            CHECKPOINT_VERSION => false,
+            version => {
+                return Err(format!(
+                    "checkpoint version {version} (this daemon reads 1 and {CHECKPOINT_VERSION})"
+                ))
+            }
+        };
         let tenant = meta.str_field("tenant")?;
         if tenant != self.name {
             return Err(format!(
@@ -764,7 +776,6 @@ impl Tenant {
         self.sessions = meta.u64_field("sessions")?;
         self.shed = meta.u64_field("shed")?;
         let finished = meta.u64_field("finished")? == 1;
-        let racks = meta.opt_u64_field("racks")?;
         let has_monitor = meta.u64_field("has_monitor")? == 1;
 
         // Data lines are verbatim wire lines in the tenant's own
@@ -796,24 +807,8 @@ impl Tenant {
             self.ckpt_spans.0.push('\n');
         }
         self.ckpt_spans.1 = span_count as usize;
-
-        self.pending.clear();
-        self.pipeline = None;
-        self.summary = None;
-        if !finished {
-            if let Some(racks) = racks {
-                let mut pipe = ReplayPipeline::new(racks as usize, self.config);
-                let snapshot_line = lines.next().ok_or("missing pipeline snapshot line")?;
-                let snapshot = JsonParser::parse_document(snapshot_line)
-                    .map_err(|e| format!("pipeline snapshot: {e}"))?;
-                pipe.restore_snapshot(&snapshot)
-                    .map_err(|e| format!("pipeline snapshot: {e}"))?;
-                self.pipeline = Some(pipe);
-            } else {
-                // The first tick never closed: every record is still
-                // pending.
-                self.pending = self.records.clone();
-            }
+        if has_pipeline_snapshot {
+            lines.next().ok_or("missing pipeline snapshot line")?;
         }
         if has_monitor {
             let snapshot_line = lines.next().ok_or("missing monitor snapshot line")?;
@@ -831,34 +826,28 @@ impl Tenant {
         if lines.next().is_some() {
             return Err("trailing content after checkpoint".to_string());
         }
+        self.replay_pipeline();
         if finished {
             // The checkpoint holds the OPEN-stream state (the monitor
-            // snapshot above is the pre-finish one). Rebuild the
-            // pipeline by replaying the record log, then re-run the
-            // end-of-stream evaluation: summary and post-finish
-            // monitor state are pure functions of the open state, and
+            // snapshot above is the pre-finish one). Re-run the
+            // end-of-stream evaluation: summary and post-finish monitor
+            // state are pure functions of the open state, and
             // `finalize` re-captures the pre-finish snapshot — so a
             // resume after restart can still rewind a stream that an
             // EOF finalized mid-send.
-            let records = std::mem::take(&mut self.records);
-            for r in &records {
-                self.feed_pipeline(r);
-            }
-            self.records = records;
             self.finalize();
         }
         // The document just restored IS the durable base: later ticks
         // append journal frames instead of rewriting it.
-        self.checkpointed_lines = Some(self.buffered_lines());
+        self.base_written = true;
         self.journal_base_seq = self.seq;
         Ok(())
     }
 
     /// Renders one journal delta frame: a meta line carrying the
-    /// absolute stream tallies, the cached canonical-JSONL data lines
-    /// past the durable marks, and a commit marker that makes a torn
-    /// append detectable. The marks advance only after the frame
-    /// reaches the file (see
+    /// absolute stream tallies, the cached data lines past the durable
+    /// marks, and a commit marker that makes a torn append detectable.
+    /// The marks advance only after the frame reaches the file (see
     /// [`DaemonState::append_checkpoint_frame`]).
     fn journal_frame_document(&mut self) -> String {
         use std::fmt::Write as _;
@@ -996,7 +985,7 @@ impl Tenant {
 }
 
 /// Checkpoint document version this daemon writes and reads.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// The pinned checkpoint schema: document layout, meta fields, and the
 /// snapshot field tree. CI diffs this against
@@ -1011,20 +1000,12 @@ pub fn checkpoint_schema() -> String {
          tenant's format\n  \
          next <spans>: trace spans, verbatim wire lines in the tenant's \
          format\n  \
-         next 1 iff meta has racks: pipeline snapshot JSON\n  \
          next 1 iff has_monitor=1: monitor snapshot JSON (the PRE-finish \
          state when finished=1; restore re-runs the end-of-stream evaluation)\n\
          \n\
          meta fields:\n  \
          version tenant format seq records spans parse_errors sessions shed \
-         finished [racks] has_monitor\n\
-         \n\
-         pipeline snapshot fields:\n  \
-         stack[bank[min_votes subs[label last_score last_fired fires [first_fire] \
-         detector[family state]] firings[t label score]] fused_was_fired \
-         [last_suspected] [last_confirmed]]\n  \
-         policy[level transitions residency] [open_tick] records samples_fed \
-         events ticks fired_ticks escalations[t from to]\n\
+         finished has_monitor\n\
          \n\
          monitor snapshot fields:\n  \
          registry[metrics[name kind value|stats|histogram]]\n  \
@@ -1267,7 +1248,7 @@ impl DaemonState {
         let tmp = path.with_extension("ckpt.tmp");
         std::fs::write(&tmp, tenant.checkpoint_document())?;
         std::fs::rename(&tmp, &path)?;
-        tenant.checkpointed_lines = Some(tenant.buffered_lines());
+        tenant.base_written = true;
         tenant.journal_records = (tenant.ckpt_records.0.len(), tenant.ckpt_records.1);
         tenant.journal_spans = (tenant.ckpt_spans.0.len(), tenant.ckpt_spans.1);
         tenant.journal_frame = 0;
@@ -1659,7 +1640,7 @@ mod tests {
             .unwrap_err();
         assert!(e.contains("tenant"), "{e}");
 
-        let bumped = doc.replacen("{\"version\":1", "{\"version\":9", 1);
+        let bumped = doc.replacen("{\"version\":2", "{\"version\":9", 1);
         let e = fresh_monitored("a")
             .restore_from_document(&bumped)
             .unwrap_err();
@@ -1732,6 +1713,183 @@ mod tests {
         let log = reborn.with_ops_log(OpsLog::render_jsonl);
         assert!(log.contains("\"kind\":\"checkpoint_restore\""), "{log}");
         assert!(log.contains("\"kind\":\"checkpoint_error\""), "{log}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn drain_span(id: u64, t_ms: u64) -> ParsedSpan {
+        ParsedSpan {
+            id,
+            name: "attack.drain".to_string(),
+            parent: None,
+            start_ms: t_ms,
+            end_ms: t_ms + 100,
+            attrs: vec![("rack".to_string(), 1.0)],
+        }
+    }
+
+    #[test]
+    fn csv_checkpoint_without_wire_lines_round_trips() {
+        // Records and spans fed through the parsed-value entry points
+        // reach the checkpoint through the render fallback, which must
+        // write the tenant's own format: restore parses in it.
+        let mut live = Tenant::new("c", Format::Csv, PipelineConfig::default());
+        live.attach_monitor(default_alert_rules());
+        for r in spiky_trace(12) {
+            live.ingest_record(r);
+        }
+        live.ingest_span(drain_span(0, 300));
+        let doc = live.checkpoint_document();
+        let mut restored = Tenant::new("c", Format::Csv, PipelineConfig::default());
+        restored.attach_monitor(default_alert_rules());
+        restored.restore_from_document(&doc).unwrap();
+        assert_eq!(restored.seq, live.seq);
+        assert_eq!(restored.checkpoint_document(), doc);
+        assert_eq!(restored.finalize().to_json(), live.finalize().to_json());
+        assert_eq!(restored.alerts_json(), live.alerts_json());
+    }
+
+    /// Streams 30 ticks x 2 racks (plus a few spans) through a
+    /// monitored tenant the way a session does — verbatim wire lines,
+    /// the base at the first tick, a journal frame at every later tick
+    /// and at `end` — and returns the base and journal files.
+    fn checkpoint_files(format: Format) -> (String, String) {
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "padsimd-state-test-torn-{}-{}",
+            std::process::id(),
+            CALLS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = DaemonState::new(PipelineConfig::default());
+        state.state_dir = Some(dir.clone());
+        let (tenant, _) = state.open_tenant("torn", format);
+        let mut guard = tenant.lock().unwrap();
+        let text = render_parsed(&spiky_trace(30), format);
+        let lines = text.lines().filter(|l| *l != CSV_HEADER.trim_end());
+        for (i, line) in lines.enumerate() {
+            let r = parse_line(line, i + 1, format).unwrap();
+            let ticked = guard.ingest_record_wire(line, r);
+            if i % 20 == 5 {
+                let span = drain_span(i as u64, i as u64 * 50);
+                let rendered = render_parsed_spans(std::slice::from_ref(&span), format);
+                let span_line = rendered.lines().last().unwrap();
+                guard.ingest_span_wire(span_line, span);
+            }
+            if ticked {
+                if guard.checkpoint_due() {
+                    state.write_checkpoint(&mut guard).unwrap();
+                } else {
+                    state.append_checkpoint_frame(&mut guard).unwrap();
+                }
+            }
+        }
+        guard.finalize();
+        state.append_checkpoint_frame(&mut guard).unwrap();
+        drop(guard);
+        let base = std::fs::read_to_string(dir.join("torn.ckpt")).unwrap();
+        let journal = std::fs::read_to_string(dir.join("torn.ckpt.log")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (base, journal)
+    }
+
+    /// Restores `base` plus `journal` into a fresh monitored tenant and
+    /// returns what a restore must agree on.
+    fn restore_state(format: Format, base: &str, journal: &str) -> (u64, bool, String) {
+        let mut tenant = Tenant::new("torn", format, PipelineConfig::default());
+        tenant.attach_monitor(default_alert_rules());
+        tenant.restore_from_document(base).unwrap();
+        tenant.apply_journal(journal);
+        (tenant.seq, tenant.finished(), tenant.checkpoint_document())
+    }
+
+    #[test]
+    fn torn_journal_restores_its_last_committed_frame() {
+        for format in [Format::Jsonl, Format::Csv] {
+            let (base, journal) = checkpoint_files(format);
+            // Byte offsets where each `ok frame <n>` marker line ends
+            // (before its newline): a cut at or past one keeps that
+            // frame, a cut before it drops the frame.
+            let marker_ends: Vec<usize> = journal
+                .match_indices("\nok frame ")
+                .map(|(i, _)| i + 1 + journal[i + 1..].find('\n').unwrap())
+                .collect();
+            assert_eq!(marker_ends.len(), 29, "28 later ticks plus the end frame");
+            let full = restore_state(format, &base, &journal);
+            assert_eq!(full.0, 63, "60 records and 3 spans");
+            assert!(full.1, "the end frame finishes the stream");
+            let mut expected = restore_state(format, &base, "");
+            let mut committed = 0;
+            for k in 0..=journal.len() {
+                if committed < marker_ends.len() && marker_ends[committed] == k {
+                    committed += 1;
+                    expected = restore_state(format, &base, &journal[..k]);
+                }
+                assert_eq!(
+                    restore_state(format, &base, &journal[..k]),
+                    expected,
+                    "{format:?} journal cut at byte {k}"
+                );
+            }
+            assert_eq!(expected, full);
+        }
+    }
+
+    #[test]
+    fn torn_base_is_rejected_unless_only_its_newline_is_cut() {
+        for format in [Format::Jsonl, Format::Csv] {
+            let (base, _) = checkpoint_files(format);
+            let mut whole = Tenant::new("torn", format, PipelineConfig::default());
+            whole.attach_monitor(default_alert_rules());
+            whole.restore_from_document(&base).unwrap();
+            let expected = (whole.seq, whole.checkpoint_document());
+            for k in 0..base.len() {
+                let mut tenant = Tenant::new("torn", format, PipelineConfig::default());
+                tenant.attach_monitor(default_alert_rules());
+                let restored = tenant.restore_from_document(&base[..k]);
+                if k + 1 == base.len() {
+                    restored.unwrap();
+                    assert_eq!((tenant.seq, tenant.checkpoint_document()), expected);
+                } else {
+                    assert!(restored.is_err(), "{format:?} base cut at byte {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_state_directory_still_restores() {
+        // A base plus journal written by a version-1 daemon for an open
+        // stream: the base carries `racks` and a pipeline snapshot line.
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v1");
+        let dir =
+            std::env::temp_dir().join(format!("padsimd-state-test-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in ["legacy.ckpt", "legacy.ckpt.log"] {
+            std::fs::copy(format!("{fixture}/{file}"), dir.join(file)).unwrap();
+        }
+        let mut state = DaemonState::new(PipelineConfig::default());
+        state.state_dir = Some(dir.clone());
+        assert_eq!(state.load_checkpoints().unwrap(), 1);
+        let log = state.with_ops_log(OpsLog::render_jsonl);
+        assert!(!log.contains("checkpoint_error"), "{log}");
+        let tenant = state.tenant("legacy").expect("restored from disk");
+        let mut restored = tenant.lock().unwrap();
+        assert_eq!(restored.seq, 25);
+        assert!(!restored.finished());
+
+        let trace = spiky_trace(30);
+        let mut clean = fresh_monitored("legacy");
+        for r in &trace {
+            clean.ingest_record(r.clone());
+        }
+        for r in &trace[25..] {
+            restored.ingest_record(r.clone());
+        }
+        assert_eq!(restored.finalize().to_json(), clean.finalize().to_json());
+        assert_eq!(restored.alerts_json(), clean.alerts_json());
+        drop(restored);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -51,9 +51,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
-use crate::jsonio::{write_f64, Json, ObjFields};
 use crate::log::Severity;
 use crate::stats::OnlineStats;
 use crate::telemetry::codec::ParsedRecord;
@@ -787,270 +785,6 @@ impl DetectorBank {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot / restore
-//
-// Checkpoints carry only *value* state: configuration (thresholds,
-// windows, labels, quorum) is structural and rebuilt by re-running the
-// construction code, then validated against the snapshot on restore.
-// Welford accumulators and EWMA variances are written verbatim — they
-// are order-dependent, so re-deriving them would break the bit-exact
-// recovery contract.
-
-/// Serializes a `(time, value)` ring as `[[t_ms,v],...]`.
-fn write_ring(out: &mut String, ring: &VecDeque<(SimTime, f64)>) {
-    out.push('[');
-    for (i, &(t, v)) in ring.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},", t.as_millis());
-        write_f64(out, v);
-        out.push(']');
-    }
-    out.push(']');
-}
-
-/// Parses [`write_ring`] output back into a ring.
-fn read_ring(items: &[Json], what: &str) -> Result<VecDeque<(SimTime, f64)>, String> {
-    let mut ring = VecDeque::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let pair = item.as_array(&format!("{what}[{i}]"))?;
-        if pair.len() != 2 {
-            return Err(format!("{what}[{i}] must be a [t_ms, value] pair"));
-        }
-        let t = pair[0].as_u64(&format!("{what}[{i}] time"))?;
-        let v = pair[1].as_f64(&format!("{what}[{i}] value"))?;
-        ring.push_back((SimTime::from_millis(t), v));
-    }
-    Ok(ring)
-}
-
-impl EwmaZScore {
-    /// Serializes the learned baseline (exact bits; config is not
-    /// included — it is validated structurally by the caller).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"seen\":{},\"mean\":", self.seen);
-        write_f64(&mut out, self.mean);
-        out.push_str(",\"var\":");
-        write_f64(&mut out, self.var);
-        out.push('}');
-        out
-    }
-
-    /// Restores the learned baseline from a parsed snapshot.
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("ewma snapshot")?;
-        self.seen = obj.u64_field("seen")?;
-        self.mean = obj.f64_field_lossy("mean")?;
-        self.var = obj.f64_field_lossy("var")?;
-        Ok(())
-    }
-}
-
-impl Cusum {
-    /// Serializes the calibration baseline and both accumulated sums.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"baseline\":");
-        out.push_str(&self.baseline.snapshot_json());
-        out.push_str(",\"pos\":");
-        write_f64(&mut out, self.pos);
-        out.push_str(",\"neg\":");
-        write_f64(&mut out, self.neg);
-        out.push('}');
-        out
-    }
-
-    /// Restores the baseline and accumulators from a parsed snapshot.
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("cusum snapshot")?;
-        self.baseline = OnlineStats::from_snapshot(obj.field("baseline")?)?;
-        self.pos = obj.f64_field_lossy("pos")?;
-        self.neg = obj.f64_field_lossy("neg")?;
-        Ok(())
-    }
-}
-
-impl SpikeTrainDetector {
-    /// Serializes the internal baseline, edge state and spike ring.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"baseline\":");
-        out.push_str(&self.baseline.snapshot_json());
-        let _ = write!(out, ",\"above\":{},\"ring\":", u8::from(self.above));
-        write_ring(&mut out, &self.ring);
-        out.push('}');
-        out
-    }
-
-    /// Restores baseline, edge state and spike ring from a snapshot.
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("spike_train snapshot")?;
-        self.baseline.restore_snapshot(obj.field("baseline")?)?;
-        self.above = obj.u64_field("above")? != 0;
-        let ring = read_ring(obj.arr_field("ring")?, "spike_train ring")?;
-        if ring.len() > self.capacity {
-            return Err(format!(
-                "spike_train ring has {} entries, capacity is {}",
-                ring.len(),
-                self.capacity
-            ));
-        }
-        self.ring = ring;
-        Ok(())
-    }
-}
-
-impl DrainRateDetector {
-    /// Serializes the checkpoint ring; `last_push` is present only when
-    /// at least one sample was accepted.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"ring\":");
-        write_ring(&mut out, &self.ring);
-        if let Some(t) = self.last_push {
-            let _ = write!(out, ",\"last_push\":{}", t.as_millis());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Restores the checkpoint ring from a snapshot.
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("drain_rate snapshot")?;
-        self.ring = read_ring(obj.arr_field("ring")?, "drain_rate ring")?;
-        self.last_push = obj.opt_u64_field("last_push")?.map(SimTime::from_millis);
-        Ok(())
-    }
-}
-
-impl Detector {
-    /// Serializes this detector's value state, tagged by family.
-    pub fn snapshot_json(&self) -> String {
-        let state = match self {
-            Detector::Ewma(d) => d.snapshot_json(),
-            Detector::Cusum(d) => d.snapshot_json(),
-            Detector::SpikeTrain(d) => d.snapshot_json(),
-            Detector::DrainRate(d) => d.snapshot_json(),
-        };
-        format!("{{\"family\":\"{}\",\"state\":{state}}}", self.family())
-    }
-
-    /// Restores value state, rejecting a snapshot from a different
-    /// detector family (structure must match the snapshot).
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("detector snapshot")?;
-        let family = obj.str_field("family")?;
-        if family != self.family() {
-            return Err(format!(
-                "detector family mismatch: snapshot has {family:?}, detector is {:?}",
-                self.family()
-            ));
-        }
-        let state = obj.field("state")?;
-        match self {
-            Detector::Ewma(d) => d.restore_snapshot(state),
-            Detector::Cusum(d) => d.restore_snapshot(state),
-            Detector::SpikeTrain(d) => d.restore_snapshot(state),
-            Detector::DrainRate(d) => d.restore_snapshot(state),
-        }
-    }
-}
-
-impl DetectorBank {
-    /// Serializes the bank: quorum and per-subscription identity for
-    /// structural validation, every detector's value state, and the
-    /// firing log (the byte-comparable artifact).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"min_votes\":{},\"subs\":[", self.min_votes);
-        for (i, sub) in self.subs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"label\":\"{}\",\"last_score\":", sub.label);
-            write_f64(&mut out, sub.last.score);
-            let _ = write!(
-                out,
-                ",\"last_fired\":{},\"fires\":{}",
-                u8::from(sub.last.fired),
-                sub.fires
-            );
-            if let Some(t) = sub.first_fire {
-                let _ = write!(out, ",\"first_fire\":{}", t.as_millis());
-            }
-            out.push_str(",\"detector\":");
-            out.push_str(&sub.detector.snapshot_json());
-            out.push('}');
-        }
-        out.push_str("],\"firings\":[");
-        for (i, f) in self.firings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"label\":\"{}\",\"score\":",
-                f.time.as_millis(),
-                f.label
-            );
-            write_f64(&mut out, f.score);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Restores value state into a structurally identical bank: the
-    /// snapshot's quorum, subscription count, labels and detector
-    /// families must all match this bank's, in order.
-    pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
-        let obj = value.as_object("bank snapshot")?;
-        let min_votes = obj.u64_field("min_votes")? as usize;
-        if min_votes != self.min_votes {
-            return Err(format!(
-                "bank min_votes mismatch: snapshot has {min_votes}, bank has {}",
-                self.min_votes
-            ));
-        }
-        let subs = obj.arr_field("subs")?;
-        if subs.len() != self.subs.len() {
-            return Err(format!(
-                "bank has {} subscriptions, snapshot has {}",
-                self.subs.len(),
-                subs.len()
-            ));
-        }
-        for (sub, snap) in self.subs.iter_mut().zip(subs) {
-            let sobj = snap.as_object("subscription snapshot")?;
-            let label = sobj.str_field("label")?;
-            if label != sub.label {
-                return Err(format!(
-                    "subscription label mismatch: snapshot has {label:?}, bank has {:?}",
-                    sub.label
-                ));
-            }
-            sub.detector.restore_snapshot(sobj.field("detector")?)?;
-            sub.last = Verdict {
-                score: sobj.f64_field_lossy("last_score")?,
-                fired: sobj.u64_field("last_fired")? != 0,
-            };
-            sub.fires = sobj.u64_field("fires")?;
-            sub.first_fire = sobj.opt_u64_field("first_fire")?.map(SimTime::from_millis);
-        }
-        let firings = obj.arr_field("firings")?;
-        self.firings.clear();
-        for (i, item) in firings.iter().enumerate() {
-            let fobj = item.as_object(&format!("firing[{i}]"))?;
-            self.firings.push(Firing {
-                time: SimTime::from_millis(fobj.u64_field("t")?),
-                label: fobj.str_field("label")?.to_string(),
-                score: fobj.f64_field_lossy("score")?,
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1292,99 +1026,5 @@ mod tests {
     #[should_panic(expected = "min_votes")]
     fn bank_rejects_zero_quorum() {
         DetectorBank::new(0);
-    }
-
-    #[test]
-    fn bank_snapshot_round_trips_mid_stream() {
-        let mut reg = MetricRegistry::new();
-        let draw = reg.register_gauge("rack-00.draw_w");
-        let soc = reg.register_gauge("rack-00.soc");
-        let build = |reg: &MetricRegistry| {
-            let mut bank = DetectorBank::new(2);
-            let draw = reg.id("rack-00.draw_w").unwrap();
-            let soc = reg.id("rack-00.soc").unwrap();
-            bank.subscribe(
-                draw,
-                "draw.ewma",
-                Detector::Ewma(EwmaZScore::new(0.1, 4.0).with_warmup(10).with_min_std(1.0)),
-            );
-            bank.subscribe(
-                draw,
-                "draw.cusum",
-                Detector::Cusum(Cusum::new(0.5, 10.0).with_warmup(10).with_min_std(1.0)),
-            );
-            bank.subscribe(
-                draw,
-                "draw.spikes",
-                Detector::SpikeTrain(
-                    SpikeTrainDetector::new(4.0, 2, SimDuration::from_secs(60)).with_min_std(1.0),
-                ),
-            );
-            bank.subscribe(
-                soc,
-                "soc.drain",
-                Detector::DrainRate(DrainRateDetector::new(2.0, SimDuration::from_secs(30))),
-            );
-            bank
-        };
-        let feed = |bank: &mut DetectorBank, range: std::ops::Range<u64>| {
-            for i in range {
-                let surge = if i % 37 == 0 { 400.0 } else { 0.0 };
-                bank.observe(ms(i * 100), draw, 500.0 + (i % 3) as f64 + surge);
-                bank.observe(ms(i * 100), soc, 0.9 - i as f64 * 0.0002);
-            }
-        };
-
-        // Uninterrupted reference run.
-        let mut full = build(&reg);
-        feed(&mut full, 0..300);
-
-        // Interrupted run: snapshot at an arbitrary point, restore into a
-        // freshly constructed bank, continue.
-        let mut first = build(&reg);
-        feed(&mut first, 0..157);
-        let snap = first.snapshot_json();
-        let doc = crate::jsonio::JsonParser::parse_document(&snap).unwrap();
-        let mut resumed = build(&reg);
-        resumed.restore_snapshot(&doc).unwrap();
-        assert_eq!(resumed, first, "restore must be bit-exact");
-        feed(&mut resumed, 157..300);
-
-        assert!(!full.firings().is_empty(), "the stream must fire");
-        assert_eq!(resumed.render_firings(), full.render_firings());
-        assert_eq!(resumed.fused(), full.fused());
-        assert_eq!(resumed, full);
-    }
-
-    #[test]
-    fn bank_restore_rejects_structural_drift() {
-        let mut reg = MetricRegistry::new();
-        let draw = reg.register_gauge("d");
-        let mut bank = DetectorBank::new(1);
-        bank.subscribe(draw, "d.ewma", Detector::Ewma(EwmaZScore::new(0.1, 4.0)));
-        let snap = bank.snapshot_json();
-        let doc = crate::jsonio::JsonParser::parse_document(&snap).unwrap();
-
-        let mut wrong_label = DetectorBank::new(1);
-        wrong_label.subscribe(draw, "other", Detector::Ewma(EwmaZScore::new(0.1, 4.0)));
-        assert!(wrong_label
-            .restore_snapshot(&doc)
-            .unwrap_err()
-            .contains("label"));
-
-        let mut wrong_family = DetectorBank::new(1);
-        wrong_family.subscribe(draw, "d.ewma", Detector::Cusum(Cusum::new(0.5, 8.0)));
-        assert!(wrong_family
-            .restore_snapshot(&doc)
-            .unwrap_err()
-            .contains("family"));
-
-        let mut wrong_quorum = DetectorBank::new(2);
-        wrong_quorum.subscribe(draw, "d.ewma", Detector::Ewma(EwmaZScore::new(0.1, 4.0)));
-        wrong_quorum.subscribe(draw, "d2", Detector::Ewma(EwmaZScore::new(0.1, 4.0)));
-        assert!(wrong_quorum
-            .restore_snapshot(&doc)
-            .unwrap_err()
-            .contains("min_votes"));
     }
 }
