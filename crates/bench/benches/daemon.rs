@@ -4,7 +4,9 @@
 //! TCP daemon, and the connect/hello/end session cycle. The paired
 //! measurement at the end prints the grep-able throughput line the CI
 //! daemon-suite step records, and enforces a loose floor so a
-//! catastrophic regression fails the step outright.
+//! catastrophic regression fails the step outright. The last check
+//! gates what a `/metrics` scrape spends digesting a full-size session
+//! against what parsing that session costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::detect::DetectConfig;
@@ -15,16 +17,16 @@ use paddaemon::client::{send, SendJob};
 use paddaemon::server::{serve, ServeOptions};
 use paddaemon::session::run_session;
 use paddaemon::state::DaemonState;
+use simkit::telemetry::{parse_lossy, Format, TelemetryReport};
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 use workload::synth::SynthConfig;
 
-/// A recorded telemetry stream from the small testbed: the payload
-/// every measurement in this file replays.
-fn recorded_telemetry() -> String {
-    let config = SimConfig::small_test(Scheme::Pad);
+/// A recorded telemetry stream of `ticks` 100 ms steps of `config`'s
+/// cluster, with live detection on.
+fn record(config: SimConfig, ticks: usize) -> String {
     let trace = SynthConfig {
         machines: config.topology.total_servers(),
         horizon: SimTime::from_mins(10),
@@ -35,12 +37,18 @@ fn recorded_telemetry() -> String {
     let mut sim = ClusterSim::new(config, trace).expect("valid config");
     sim.enable_telemetry(1 << 20);
     sim.enable_detection(DetectConfig::default());
-    for _ in 0..200 {
+    for _ in 0..ticks {
         sim.step(SimDuration::from_millis(100));
     }
     sim.take_telemetry()
         .expect("telemetry enabled")
-        .serialize(simkit::telemetry::Format::Jsonl)
+        .serialize(Format::Jsonl)
+}
+
+/// A recorded telemetry stream from the small testbed: the payload
+/// the ingest measurements in this file replay.
+fn recorded_telemetry() -> String {
+    record(SimConfig::small_test(Scheme::Pad), 200)
 }
 
 /// One full session as request bytes: hello, the stream, end.
@@ -297,11 +305,52 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
     );
 }
 
+/// Paired scrape-digest measurement: `TelemetryReport::from_records`
+/// over a full-size session's records (what `/metrics` runs under each
+/// tenant's lock) versus `parse_lossy` of the same session's text, a
+/// linear pass over every record. Min-of-rounds each, interleaved so
+/// drift hits both alike. Prints the grep-able ratio line the CI
+/// daemon-suite step records, and fails when the digest costs more
+/// than a quarter of the parse: a digest whose cost per metric grows
+/// with the square of its samples reads well above that.
+fn check_scrape_digest_ratio(_c: &mut Criterion) {
+    // The paper's 22 × 10 cluster for 1,000 ticks: every metric sampled
+    // 1,000 times, the shape a scrape digests for each finished tenant.
+    // The small testbed's 200 ticks hold too few samples per metric to
+    // show a cost that grows faster than linearly.
+    let telemetry = record(SimConfig::paper_default(Scheme::Pad), 1_000);
+    let records = parse_lossy(&telemetry, Format::Jsonl).records;
+    black_box(parse_lossy(&telemetry, Format::Jsonl));
+    black_box(TelemetryReport::from_records(&records));
+    let (mut best_parse, mut best_digest) = (Duration::MAX, Duration::MAX);
+    for _ in 0..10 {
+        let t = Instant::now();
+        black_box(parse_lossy(&telemetry, Format::Jsonl));
+        best_parse = best_parse.min(t.elapsed());
+        let t = Instant::now();
+        black_box(TelemetryReport::from_records(&records));
+        best_digest = best_digest.min(t.elapsed());
+    }
+    let ratio = best_digest.as_secs_f64() / best_parse.as_secs_f64();
+    println!(
+        "daemon_scrape_digest_ratio: {ratio:.3} ({} records, digest {:.2?} vs parse {:.2?}, \
+         min of 10 rounds)",
+        records.len(),
+        best_digest,
+        best_parse
+    );
+    assert!(
+        ratio <= 0.25,
+        "scrape digest ratio {ratio:.3} exceeds 0.25 of the parse of the same session"
+    );
+}
+
 criterion_group!(
     benches,
     bench_daemon,
     check_ingest_throughput,
     check_selfobs_overhead,
-    check_checkpoint_overhead
+    check_checkpoint_overhead,
+    check_scrape_digest_ratio
 );
 criterion_main!(benches);

@@ -34,7 +34,7 @@ use crate::jsonio::{write_f64, Json, ObjFields};
 /// assert_eq!(s.count(), 8);
 /// assert_eq!(s.nan_count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -189,6 +189,14 @@ impl OnlineStats {
     }
 }
 
+impl Default for OnlineStats {
+    /// The empty accumulator of [`new`](Self::new): min and max seeded
+    /// at +∞ and −∞, not at zero.
+    fn default() -> Self {
+        OnlineStats::new()
+    }
+}
+
 impl Extend<f64> for OnlineStats {
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
         for v in iter {
@@ -206,6 +214,14 @@ impl FromIterator<f64> for OnlineStats {
 }
 
 /// Retained-sample summary with order statistics.
+///
+/// [`push`](Self::push) inserts each value into the sorted sample, which
+/// costs O(n) per value. Collecting an iterator (`FromIterator`) sorts
+/// once instead, O(n log n) in all, and builds the same summary bit for
+/// bit: equal values sit latest first either way, which shows only
+/// between `-0.0` and `0.0`. Where a NaN lands in the sorted sample
+/// follows arrival order and is otherwise unspecified; a sample holding
+/// one is collected by pushing each value in turn.
 ///
 /// # Example
 ///
@@ -329,7 +345,19 @@ impl Extend<f64> for Summary {
 impl FromIterator<f64> for Summary {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut s = Summary::new();
-        s.extend(iter);
+        let mut values: Vec<f64> = iter.into_iter().collect();
+        if values.iter().any(|v| v.is_nan()) {
+            s.extend(values);
+            return s;
+        }
+        for &v in &values {
+            s.stats.push(v);
+        }
+        // `push` puts each value before the equal ones it already holds;
+        // a stable sort of the reversed arrivals does the same.
+        values.reverse();
+        values.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free sample"));
+        s.sorted = values;
         s
     }
 }
@@ -664,6 +692,14 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
+    }
+
+    #[test]
+    fn online_stats_default_is_the_empty_accumulator() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        let mut s = OnlineStats::default();
+        s.push(5.0);
+        assert_eq!((s.min(), s.max()), (5.0, 5.0));
     }
 
     #[test]

@@ -60,9 +60,21 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Digests parsed records into a report.
+    /// Digests parsed records into a report, in time linear in the
+    /// record count: each metric's samples are gathered in arrival order
+    /// under a name borrowed from the records, then sorted once (see
+    /// [`Summary`]). The report is the one that pushing each sample in
+    /// turn would build, bit for bit.
     pub fn from_records(records: &[ParsedRecord]) -> Self {
         let mut report = TelemetryReport::default();
+        // Metrics in first-seen order, each with its samples in arrival
+        // order, and an index from name to slot.
+        let mut slots: Vec<(&str, Vec<f64>)> = Vec::new();
+        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+        // The recorder writes its metrics in the same order every tick,
+        // so a sample's slot is usually the one after the previous
+        // sample's.
+        let mut next = 0;
         for r in records {
             report.span_ms = report.span_ms.max(r.time_ms);
             if r.is_event {
@@ -83,18 +95,26 @@ impl TelemetryReport {
                     digest.sources.insert(idx, r.source.clone());
                 }
             } else {
-                let digest = report
-                    .metrics
-                    .entry(r.name.clone())
-                    .or_insert_with(|| MetricDigest {
-                        name: r.name.clone(),
-                        stats: OnlineStats::new(),
-                        summary: Summary::new(),
-                    });
-                digest.stats.push(r.value);
-                digest.summary.push(r.value);
+                let slot = if slots.get(next).is_some_and(|(name, _)| *name == r.name) {
+                    next
+                } else {
+                    *index.entry(&r.name).or_insert_with(|| {
+                        slots.push((&r.name, Vec::new()));
+                        slots.len() - 1
+                    })
+                };
+                slots[slot].1.push(r.value);
+                next = slot + 1;
                 report.samples += 1;
             }
+        }
+        for (name, values) in slots {
+            let digest = MetricDigest {
+                name: name.to_string(),
+                stats: values.iter().copied().collect(),
+                summary: values.into_iter().collect(),
+            };
+            report.metrics.insert(name.to_string(), digest);
         }
         report
     }
@@ -261,7 +281,112 @@ pub fn render_prometheus_reports(reports: &[(&str, &TelemetryReport)]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::RngStream;
     use crate::telemetry::codec::{parse, Format};
+
+    /// The report that pushing each sample in turn builds: the
+    /// reference the sort-once digest must match bit for bit.
+    fn pushed_report(records: &[ParsedRecord]) -> TelemetryReport {
+        let mut report = TelemetryReport::from_records(records);
+        report.metrics.clear();
+        for r in records.iter().filter(|r| !r.is_event) {
+            let digest = report
+                .metrics
+                .entry(r.name.clone())
+                .or_insert_with(|| MetricDigest {
+                    name: r.name.clone(),
+                    stats: OnlineStats::new(),
+                    summary: Summary::new(),
+                });
+            digest.stats.push(r.value);
+            digest.summary.push(r.value);
+        }
+        report
+    }
+
+    /// Every metric's state as written bits: `PartialEq` on `f64` takes
+    /// `-0.0` for `0.0` and NaN for unequal to itself.
+    fn digest_bits(report: &TelemetryReport) -> Vec<String> {
+        report
+            .metrics
+            .values()
+            .map(|d| {
+                let (stats, summary) = (d.stats.snapshot_json(), d.summary.snapshot_json());
+                format!("{} {stats} {summary}", d.name)
+            })
+            .collect()
+    }
+
+    /// A recording-shaped JSONL trace: every tick samples each of five
+    /// metrics once, in the order `order` gives for that tick, from a
+    /// value pool with repeats and signed zeros. Every 50th tick also
+    /// carries an event.
+    fn tick_trace(mut order: impl FnMut(u64) -> Vec<usize>) -> String {
+        let metrics = ["rack-00.draw_w", "rack-00.soc", "a.x", "z.y", "b.q"];
+        let pool = ["0", "-0", "1.5", "-2", "1.5", "9.5", "0", "7.25"];
+        let mut text = String::new();
+        for tick in 0..200u64 {
+            let t = tick * 100;
+            for m in order(tick) {
+                let v = pool[(tick as usize * 7 + m * 3) % pool.len()];
+                text.push_str(&format!(
+                    "{{\"t\":{t},\"m\":\"{}\",\"v\":{v}}}\n",
+                    metrics[m]
+                ));
+            }
+            if tick % 50 == 7 {
+                text.push_str(&format!(
+                    "{{\"t\":{t},\"e\":\"shed\",\"s\":\"rack-0{}\",\"v\":1}}\n",
+                    tick % 3
+                ));
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn permuted_metric_order_digests_the_same() {
+        let in_order = parse(&tick_trace(|_| (0..5).collect()), Format::Jsonl).unwrap();
+        let mut rng = RngStream::new(15);
+        let shuffled = tick_trace(|_| {
+            let mut order: Vec<usize> = (0..5).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            order
+        });
+        let permuted = parse(&shuffled, Format::Jsonl).unwrap();
+        assert_ne!(in_order, permuted, "the shuffle moved some metric");
+
+        let expected = TelemetryReport::from_records(&in_order);
+        let report = TelemetryReport::from_records(&permuted);
+        assert_eq!(report, expected);
+        assert_eq!(digest_bits(&report), digest_bits(&pushed_report(&permuted)));
+        assert_eq!(report.render(), expected.render());
+        assert_eq!(report.render_prometheus(), expected.render_prometheus());
+        assert_eq!(report.sample_count(), 1000);
+        assert_eq!(report.events().map(|e| e.count).sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn nan_sample_digests_as_pushing_does() {
+        let trace = "{\"t\":0,\"m\":\"g\",\"v\":1}\n\
+                     {\"t\":0,\"m\":\"h\",\"v\":3}\n\
+                     {\"t\":100,\"m\":\"g\",\"v\":nan}\n\
+                     {\"t\":100,\"m\":\"h\",\"v\":-0}\n\
+                     {\"t\":200,\"m\":\"g\",\"v\":0}\n\
+                     {\"t\":200,\"m\":\"g\",\"v\":-0}\n\
+                     {\"t\":300,\"m\":\"g\",\"v\":2}\n\
+                     {\"t\":300,\"m\":\"h\",\"v\":0}\n";
+        let records = parse(trace, Format::Jsonl).unwrap();
+        assert!(records[2].value.is_nan());
+        let report = TelemetryReport::from_records(&records);
+        let pushed = pushed_report(&records);
+        assert_eq!(digest_bits(&report), digest_bits(&pushed));
+        assert_eq!(report.render(), pushed.render());
+        assert_eq!(report.render_prometheus(), pushed.render_prometheus());
+        assert_eq!(report.metric("g").unwrap().stats.nan_count(), 1);
+    }
 
     #[test]
     fn report_digests_metrics_and_events() {

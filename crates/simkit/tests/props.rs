@@ -150,3 +150,35 @@ proptest! {
         prop_assert_eq!(aligned.as_millis() % step_ms, 0);
     }
 }
+
+/// Values with repeats, both signed zeros and both infinities: the
+/// inputs where sorting once could disagree with inserting one by one.
+const SUMMARY_POOL: [f64; 7] = [0.0, -0.0, 1.5, -1.5, f64::INFINITY, f64::NEG_INFINITY, 3.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Collecting a summary sorts once, yet builds what pushing each
+    /// value in turn from `Summary::new()` builds, bit for bit (the
+    /// comparison is on bits because `-0.0 == 0.0`). Half the cases
+    /// carry a NaN, which takes the push path.
+    #[test]
+    fn collected_summary_matches_pushed_bits(
+        picks in prop::collection::vec(0usize..SUMMARY_POOL.len(), 0..64),
+        with_nan in any::<bool>(),
+        nan_at in 0usize..64,
+    ) {
+        let mut values: Vec<f64> = picks.iter().map(|&i| SUMMARY_POOL[i]).collect();
+        if with_nan {
+            values.insert(nan_at % (values.len() + 1), f64::NAN);
+        }
+        let mut pushed = Summary::new();
+        for &v in &values {
+            pushed.push(v);
+        }
+        let collected: Summary = values.iter().copied().collect();
+        let bits = |s: &Summary| s.sorted_values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&collected), bits(&pushed));
+        prop_assert_eq!(collected.snapshot_json(), pushed.snapshot_json());
+    }
+}
