@@ -6,7 +6,7 @@
 //! daemon-suite step records, and enforces a loose floor so a
 //! catastrophic regression fails the step outright. The last check
 //! gates what a `/metrics` scrape spends digesting a full-size session
-//! against what parsing that session costs.
+//! against what rendering that session's records costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::detect::DetectConfig;
@@ -17,7 +17,7 @@ use paddaemon::client::{send, SendJob};
 use paddaemon::server::{serve, ServeOptions};
 use paddaemon::session::run_session;
 use paddaemon::state::DaemonState;
-use simkit::telemetry::{parse_lossy, Format, TelemetryReport};
+use simkit::telemetry::{parse_lossy, render_parsed, Format, TelemetryReport};
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::io::{self, Read, Write};
@@ -307,12 +307,12 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
 
 /// Paired scrape-digest measurement: `TelemetryReport::from_records`
 /// over a full-size session's records (what `/metrics` runs under each
-/// tenant's lock) versus `parse_lossy` of the same session's text, a
-/// linear pass over every record. Min-of-rounds each, interleaved so
-/// drift hits both alike. Prints the grep-able ratio line the CI
-/// daemon-suite step records, and fails when the digest costs more
-/// than a quarter of the parse: a digest whose cost per metric grows
-/// with the square of its samples reads well above that.
+/// tenant's lock) versus `render_parsed` of the same records, a linear
+/// pass that writes every record back to its wire line. Min-of-rounds
+/// each, interleaved so drift hits both alike. Prints the grep-able
+/// ratio line the CI daemon-suite step records, and fails when the
+/// digest costs more than three quarters of the render: a digest that
+/// sorted-inserts each sample into its metric's summary reads above 1.5.
 fn check_scrape_digest_ratio(_c: &mut Criterion) {
     // The paper's 22 × 10 cluster for 1,000 ticks: every metric sampled
     // 1,000 times, the shape a scrape digests for each finished tenant.
@@ -320,28 +320,28 @@ fn check_scrape_digest_ratio(_c: &mut Criterion) {
     // show a cost that grows faster than linearly.
     let telemetry = record(SimConfig::paper_default(Scheme::Pad), 1_000);
     let records = parse_lossy(&telemetry, Format::Jsonl).records;
-    black_box(parse_lossy(&telemetry, Format::Jsonl));
+    black_box(render_parsed(&records, Format::Jsonl));
     black_box(TelemetryReport::from_records(&records));
-    let (mut best_parse, mut best_digest) = (Duration::MAX, Duration::MAX);
+    let (mut best_render, mut best_digest) = (Duration::MAX, Duration::MAX);
     for _ in 0..10 {
         let t = Instant::now();
-        black_box(parse_lossy(&telemetry, Format::Jsonl));
-        best_parse = best_parse.min(t.elapsed());
+        black_box(render_parsed(&records, Format::Jsonl));
+        best_render = best_render.min(t.elapsed());
         let t = Instant::now();
         black_box(TelemetryReport::from_records(&records));
         best_digest = best_digest.min(t.elapsed());
     }
-    let ratio = best_digest.as_secs_f64() / best_parse.as_secs_f64();
+    let ratio = best_digest.as_secs_f64() / best_render.as_secs_f64();
     println!(
-        "daemon_scrape_digest_ratio: {ratio:.3} ({} records, digest {:.2?} vs parse {:.2?}, \
+        "daemon_scrape_digest_ratio: {ratio:.3} ({} records, digest {:.2?} vs render {:.2?}, \
          min of 10 rounds)",
         records.len(),
         best_digest,
-        best_parse
+        best_render
     );
     assert!(
-        ratio <= 0.25,
-        "scrape digest ratio {ratio:.3} exceeds 0.25 of the parse of the same session"
+        ratio <= 0.75,
+        "scrape digest ratio {ratio:.3} exceeds 0.75 of rendering the same session's records"
     );
 }
 

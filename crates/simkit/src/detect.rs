@@ -649,9 +649,15 @@ impl FusedVerdict {
 /// it the parsed wire records. Feeding order within a tick follows
 /// metric registration order in both modes, so firing logs line up
 /// byte-for-byte.
+///
+/// A sample visits only its own metric's subscriptions, in subscription
+/// order, so its cost does not grow with the rest of the bank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorBank {
     subs: Vec<Subscription>,
+    /// Per metric index, the positions in `subs` of that metric's
+    /// subscriptions, ascending.
+    by_metric: Vec<Vec<usize>>,
     min_votes: usize,
     firings: Vec<Firing>,
 }
@@ -667,6 +673,7 @@ impl DetectorBank {
         assert!(min_votes >= 1, "min_votes must be at least 1");
         DetectorBank {
             subs: Vec::new(),
+            by_metric: Vec::new(),
             min_votes,
             firings: Vec::new(),
         }
@@ -674,6 +681,11 @@ impl DetectorBank {
 
     /// Subscribes `detector` to `metric` under a display `label`.
     pub fn subscribe(&mut self, metric: MetricId, label: impl Into<String>, detector: Detector) {
+        let slot = metric.index();
+        if self.by_metric.len() <= slot {
+            self.by_metric.resize_with(slot + 1, Vec::new);
+        }
+        self.by_metric[slot].push(self.subs.len());
         self.subs.push(Subscription {
             metric,
             label: label.into(),
@@ -706,7 +718,11 @@ impl DetectorBank {
 
     /// Feeds one sample to every subscription on `metric`.
     pub fn observe(&mut self, t: SimTime, metric: MetricId, value: f64) {
-        for sub in self.subs.iter_mut().filter(|s| s.metric == metric) {
+        let Some(positions) = self.by_metric.get(metric.index()) else {
+            return;
+        };
+        for &i in positions {
+            let sub = &mut self.subs[i];
             let verdict = sub.detector.push(t, value);
             if verdict.fired && !sub.last.fired {
                 sub.fires += 1;

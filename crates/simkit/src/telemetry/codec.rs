@@ -191,11 +191,16 @@ pub(crate) fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Strips `"key":` off the front of `rest` by comparing bytes in place.
+fn strip_key<'a>(rest: &'a str, key: &str) -> Option<&'a str> {
+    rest.strip_prefix('"')?
+        .strip_prefix(key)?
+        .strip_prefix("\":")
+}
+
 /// Pulls `"key":` off the front of `rest`, returning what follows.
 pub(crate) fn expect_key<'a>(rest: &'a str, key: &str, line: usize) -> Result<&'a str, ParseError> {
-    let want = format!("\"{key}\":");
-    rest.strip_prefix(&want)
-        .ok_or_else(|| err(line, format!("expected key {key:?}")))
+    strip_key(rest, key).ok_or_else(|| err(line, format!("expected key {key:?}")))
 }
 
 /// Splits `rest` at the next `,` or the closing `}`.
@@ -261,9 +266,8 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
     let time_ms: u64 = t_field
         .parse()
         .map_err(|_| err(line, format!("bad time {t_field:?}")))?;
-    if let Ok(rest) = expect_key(rest, "m", line) {
+    if let Some(rest) = strip_key(rest, "m") {
         let (name, rest) = name_field(rest, "metric name", line)?;
-        let name = name.to_string();
         let rest = expect_key(rest, "v", line)?;
         let (v_field, rest) = next_field(rest, line)?;
         let value: f64 = v_field
@@ -274,7 +278,7 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
         }
         Ok(ParsedRecord {
             time_ms,
-            name,
+            name: name.to_string(),
             source: String::new(),
             value,
             is_event: false,
@@ -282,13 +286,13 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
     } else {
         let rest = expect_key(rest, "e", line)?;
         let (e_field, rest) = next_field(rest, line)?;
-        let name = unquote(e_field, line)?.to_string();
-        if EventKind::from_name(&name).is_none() {
+        let name = unquote(e_field, line)?;
+        if EventKind::from_name(name).is_none() {
             return Err(err(line, format!("unknown event kind {name:?}")));
         }
         let rest = expect_key(rest, "s", line)?;
         let (s_field, rest) = next_field(rest, line)?;
-        let source = unquote(s_field, line)?.to_string();
+        let source = unquote(s_field, line)?;
         let rest = expect_key(rest, "v", line)?;
         let (v_field, rest) = next_field(rest, line)?;
         let value: f64 = v_field
@@ -299,8 +303,8 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
         }
         Ok(ParsedRecord {
             time_ms,
-            name,
-            source,
+            name: name.to_string(),
+            source: source.to_string(),
             value,
             is_event: true,
         })
@@ -317,20 +321,20 @@ fn parse_csv_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseErr
     let time_ms: u64 = take("time_ms")?
         .parse()
         .map_err(|_| err(line, "bad time_ms"))?;
-    let record = take("record")?.to_string();
-    let name = take("name")?.to_string();
-    let source = take("source")?.to_string();
+    let record = take("record")?;
+    let name = take("name")?;
+    let source = take("source")?;
     let value: f64 = take("value")?.parse().map_err(|_| err(line, "bad value"))?;
     if fields.next().is_some() {
         return Err(err(line, "too many fields"));
     }
-    let is_event = match record.as_str() {
+    let is_event = match record {
         "sample" => {
-            checked_name(&name, "metric name", line)?;
+            checked_name(name, "metric name", line)?;
             false
         }
         "event" => {
-            if EventKind::from_name(&name).is_none() {
+            if EventKind::from_name(name).is_none() {
                 return Err(err(line, format!("unknown event kind {name:?}")));
             }
             true
@@ -339,8 +343,8 @@ fn parse_csv_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseErr
     };
     Ok(ParsedRecord {
         time_ms,
-        name,
-        source,
+        name: name.to_string(),
+        source: source.to_string(),
         value,
         is_event,
     })

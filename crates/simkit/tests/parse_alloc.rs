@@ -1,0 +1,204 @@
+//! Parsing a telemetry line allocates only what the parsed record owns:
+//! the name of a sample, the name and source of an event. Keys and
+//! record-type words are matched in place.
+//!
+//! The counting allocator counts only on the thread that enables it, so
+//! tests running beside each other on other threads cannot disturb a
+//! count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use simkit::telemetry::{parse_line, Format, ParsedRecord};
+
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Parses `line` and returns the record with the heap allocations the
+/// parse made on this thread.
+fn parse_counting(line: &str, format: Format) -> (ParsedRecord, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    let parsed = black_box(parse_line(black_box(line), 1, format));
+    COUNTING.with(|c| c.set(false));
+    let record = parsed.unwrap_or_else(|e| panic!("{line:?} is well formed: {e}"));
+    (record, ALLOCATIONS.with(Cell::get))
+}
+
+#[test]
+fn a_sample_line_allocates_only_its_name() {
+    for (line, format) in [
+        (
+            r#"{"t":1000,"m":"rack-00.draw_w","v":123.45}"#,
+            Format::Jsonl,
+        ),
+        ("1000,sample,rack-00.draw_w,,123.45", Format::Csv),
+    ] {
+        let (record, allocations) = parse_counting(line, format);
+        assert!(!record.is_event);
+        assert_eq!(record.name, "rack-00.draw_w");
+        assert_eq!(record.source, "");
+        assert_eq!(record.value, 123.45);
+        assert_eq!(allocations, 1, "{format:?} sample {line:?}");
+    }
+}
+
+#[test]
+fn an_event_line_allocates_only_its_name_and_source() {
+    for (line, format) in [
+        (
+            r#"{"t":1000,"e":"breaker_trip","s":"rack-00","v":1}"#,
+            Format::Jsonl,
+        ),
+        ("1000,event,breaker_trip,rack-00,1", Format::Csv),
+    ] {
+        let (record, allocations) = parse_counting(line, format);
+        assert!(record.is_event);
+        assert_eq!(record.name, "breaker_trip");
+        assert_eq!(record.source, "rack-00");
+        assert_eq!(record.value, 1.0);
+        assert_eq!(allocations, 2, "{format:?} event {line:?}");
+    }
+}
+
+/// Every way a line can be malformed still fails, with the message it
+/// has always had.
+#[test]
+fn malformed_lines_keep_their_error_messages() {
+    let cases = [
+        ("not json", Format::Jsonl, "expected '{'"),
+        (r#"{"x":1}"#, Format::Jsonl, r#"expected key "t""#),
+        (r#"{"t":1"#, Format::Jsonl, "unterminated object"),
+        (
+            r#"{"t":abc,"m":"a","v":1}"#,
+            Format::Jsonl,
+            r#"bad time "abc""#,
+        ),
+        (
+            r#"{"t":1,"q":"a","v":1}"#,
+            Format::Jsonl,
+            r#"expected key "e""#,
+        ),
+        (r#"{"t":1,"m"}"#, Format::Jsonl, r#"expected key "e""#),
+        (
+            r#"{"t":1,"m":"a\"b","v":2}"#,
+            Format::Jsonl,
+            r#"invalid metric name "a\\\"b""#,
+        ),
+        (
+            r#"{"t":1,"m":a,"v":2}"#,
+            Format::Jsonl,
+            r#"expected quoted string, got "a""#,
+        ),
+        (
+            r#"{"t":1,"m":"a","x":2}"#,
+            Format::Jsonl,
+            r#"expected key "v""#,
+        ),
+        (
+            r#"{"t":1,"m":"a","v":2"#,
+            Format::Jsonl,
+            "unterminated object",
+        ),
+        (
+            r#"{"t":1,"m":"a","v":1.2.3}"#,
+            Format::Jsonl,
+            r#"bad value "1.2.3""#,
+        ),
+        (
+            r#"{"t":1,"m":"a","v":2}x"#,
+            Format::Jsonl,
+            "trailing content after sample",
+        ),
+        (
+            r#"{"t":1,"e":"no_such","s":"x","v":1}"#,
+            Format::Jsonl,
+            r#"unknown event kind "no_such""#,
+        ),
+        (
+            r#"{"t":1,"e":"breaker_trip","x":"r","v":1}"#,
+            Format::Jsonl,
+            r#"expected key "s""#,
+        ),
+        (
+            r#"{"t":1,"e":"breaker_trip","s":r,"v":1}"#,
+            Format::Jsonl,
+            r#"expected quoted string, got "r""#,
+        ),
+        (
+            r#"{"t":1,"e":"breaker_trip","s":"r","w":1}"#,
+            Format::Jsonl,
+            r#"expected key "v""#,
+        ),
+        (
+            r#"{"t":1,"e":"breaker_trip","s":"r","v":x}"#,
+            Format::Jsonl,
+            r#"bad value "x""#,
+        ),
+        (
+            r#"{"t":1,"e":"breaker_trip","s":"r","v":1}z"#,
+            Format::Jsonl,
+            "trailing content after event",
+        ),
+        ("1,sample,a.x", Format::Csv, "missing source field"),
+        ("1", Format::Csv, "missing record field"),
+        ("x,sample,a,,1", Format::Csv, "bad time_ms"),
+        ("1,sample,a,,zz", Format::Csv, "bad value"),
+        ("1,sample,a,,1,extra", Format::Csv, "too many fields"),
+        (
+            "1,bogus,a.x,,1",
+            Format::Csv,
+            r#"unknown record type "bogus""#,
+        ),
+        (
+            "1,sample,x\" y,,2",
+            Format::Csv,
+            r#"invalid metric name "x\" y""#,
+        ),
+        (
+            "1,event,nope,r,1",
+            Format::Csv,
+            r#"unknown event kind "nope""#,
+        ),
+    ];
+    for (line, format, message) in cases {
+        let e = parse_line(line, 7, format).expect_err(line);
+        assert_eq!(e.line, 7, "{line:?}");
+        assert_eq!(e.message, message, "{format:?} {line:?}");
+    }
+}

@@ -1,11 +1,15 @@
 //! Property tests on the simulation substrate.
 
 use proptest::prelude::*;
-use simkit::detect::{Cusum, StreamDetector};
+use simkit::detect::{
+    Cusum, Detector, DetectorBank, DrainRateDetector, EwmaZScore, Firing, FusedVerdict,
+    SpikeTrainDetector, StreamDetector, Verdict,
+};
 use simkit::engine::{ControlFlow, Engine};
 use simkit::rng::RngStream;
 use simkit::series::TimeSeries;
 use simkit::stats::{OnlineStats, Summary};
+use simkit::telemetry::{MetricId, MetricRegistry};
 use simkit::time::{SimDuration, SimTime};
 
 proptest! {
@@ -180,5 +184,137 @@ proptest! {
         let bits = |s: &Summary| s.sorted_values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&collected), bits(&pushed));
         prop_assert_eq!(collected.snapshot_json(), pushed.snapshot_json());
+    }
+}
+
+/// Metrics registered for the dispatch property. Subscriptions draw from
+/// the first `SUBSCRIBABLE`, so the ids past them never have one.
+const METRICS: usize = 12;
+const SUBSCRIBABLE: usize = 8;
+
+/// Sample values with jumps large enough to fire every detector family.
+const SAMPLE_POOL: [f64; 6] = [100.0, 101.0, 99.0, 500.0, 0.0, 1_000.0];
+
+/// A detector of `family` (0..4) with a low threshold, so that arbitrary
+/// streams fire and recover often.
+fn detector(family: u8, threshold: f64) -> Detector {
+    let window = SimDuration::from_secs(1);
+    match family {
+        0 => Detector::Ewma(
+            EwmaZScore::new(0.2, threshold)
+                .with_warmup(2)
+                .with_min_std(0.1),
+        ),
+        1 => Detector::Cusum(Cusum::new(0.5, threshold).with_warmup(2).with_min_std(0.1)),
+        2 => Detector::SpikeTrain(SpikeTrainDetector::new(threshold, 2, window).with_min_std(0.1)),
+        _ => Detector::DrainRate(DrainRateDetector::new(threshold, window)),
+    }
+}
+
+/// One subscription of [`ScanBank`].
+struct ScanSub {
+    metric: MetricId,
+    label: String,
+    detector: Detector,
+    last: Verdict,
+    fires: u64,
+    first_fire: Option<SimTime>,
+}
+
+/// The reference for `DetectorBank::observe`: every sample filters every
+/// subscription for its metric.
+struct ScanBank {
+    subs: Vec<ScanSub>,
+    min_votes: usize,
+    firings: Vec<Firing>,
+}
+
+impl ScanBank {
+    fn observe(&mut self, t: SimTime, metric: MetricId, value: f64) {
+        for sub in self.subs.iter_mut().filter(|s| s.metric == metric) {
+            let verdict = sub.detector.push(t, value);
+            if verdict.fired && !sub.last.fired {
+                sub.fires += 1;
+                sub.first_fire.get_or_insert(t);
+                self.firings.push(Firing {
+                    time: t,
+                    label: sub.label.clone(),
+                    score: verdict.score,
+                });
+            }
+            sub.last = verdict;
+        }
+    }
+
+    fn fused(&self) -> FusedVerdict {
+        let score = self
+            .subs
+            .iter()
+            .map(|s| s.last.score)
+            .fold(0.0_f64, f64::max);
+        let votes = self.subs.iter().filter(|s| s.last.fired).count();
+        FusedVerdict {
+            score,
+            votes,
+            fired: votes >= self.min_votes,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Dispatching a sample to its own metric's subscriptions does what
+    /// scanning every subscription does: the same firings in the same
+    /// order with the same labels and score bits, the same fused verdict
+    /// after every sample, and the same state in every subscription.
+    /// Metrics may carry no subscription, one, or several, and samples
+    /// arrive for ids no subscription uses.
+    #[test]
+    fn dispatch_by_metric_matches_the_scan(
+        subs in prop::collection::vec((0..SUBSCRIBABLE, 0u8..4, 0.5f64..4.0), 0..24),
+        samples in prop::collection::vec((0..METRICS, 0..SAMPLE_POOL.len(), 0u64..3), 0..300),
+        min_votes in 1usize..4,
+    ) {
+        let mut registry = MetricRegistry::new();
+        let ids: Vec<MetricId> = (0..METRICS)
+            .map(|i| registry.register_gauge(&format!("m{i}")))
+            .collect();
+        let mut bank = DetectorBank::new(min_votes);
+        let mut scan = ScanBank { subs: Vec::new(), min_votes, firings: Vec::new() };
+        for (k, &(metric, family, threshold)) in subs.iter().enumerate() {
+            let label = format!("s{k}.m{metric}");
+            bank.subscribe(ids[metric], label.clone(), detector(family, threshold));
+            scan.subs.push(ScanSub {
+                metric: ids[metric],
+                label,
+                detector: detector(family, threshold),
+                last: Verdict::QUIET,
+                fires: 0,
+                first_fire: None,
+            });
+        }
+        let bits = |f: FusedVerdict| (f.score.to_bits(), f.votes, f.fired);
+        let mut t = SimTime::ZERO;
+        for &(metric, value, step) in &samples {
+            t += SimDuration::from_millis(100 * step);
+            bank.observe(t, ids[metric], SAMPLE_POOL[value]);
+            scan.observe(t, ids[metric], SAMPLE_POOL[value]);
+            prop_assert_eq!(bits(bank.fused()), bits(scan.fused()));
+        }
+        let firing = |f: &Firing| (f.time, f.label.clone(), f.score.to_bits());
+        prop_assert_eq!(
+            bank.firings().iter().map(firing).collect::<Vec<_>>(),
+            scan.firings.iter().map(firing).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(bank.len(), scan.subs.len());
+        for (sub, reference) in bank.subscriptions().zip(&scan.subs) {
+            prop_assert_eq!(sub.label(), reference.label.as_str());
+            prop_assert_eq!(sub.last().score.to_bits(), reference.last.score.to_bits());
+            prop_assert_eq!(sub.last().fired, reference.last.fired);
+            prop_assert_eq!(sub.fires(), reference.fires);
+            prop_assert_eq!(sub.first_fire(), reference.first_fire);
+            prop_assert_eq!(sub.detector(), &reference.detector);
+        }
     }
 }
