@@ -4,9 +4,11 @@
 //! TCP daemon, and the connect/hello/end session cycle. The paired
 //! measurement at the end prints the grep-able throughput line the CI
 //! daemon-suite step records, and enforces a loose floor so a
-//! catastrophic regression fails the step outright. The last check
-//! gates what a `/metrics` scrape spends digesting a full-size session
-//! against what rendering that session's records costs.
+//! catastrophic regression fails the step outright. The last two checks
+//! gate what a `/metrics` scrape spends digesting a full-size session
+//! against what rendering that session's records costs, and what
+//! catching a held digest up by one scrape interval costs against
+//! digesting the whole session.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::detect::DetectConfig;
@@ -17,7 +19,7 @@ use paddaemon::client::{send, SendJob};
 use paddaemon::server::{serve, ServeOptions};
 use paddaemon::session::run_session;
 use paddaemon::state::DaemonState;
-use simkit::telemetry::{parse_lossy, render_parsed, Format, TelemetryReport};
+use simkit::telemetry::{parse_lossy, render_parsed, Format, ParsedRecord, TelemetryReport};
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::io::{self, Read, Write};
@@ -43,6 +45,15 @@ fn record(config: SimConfig, ticks: usize) -> String {
     sim.take_telemetry()
         .expect("telemetry enabled")
         .serialize(Format::Jsonl)
+}
+
+/// The paper's 22 × 10 cluster for 1,000 ticks, parsed: every metric
+/// sampled 1,000 times, the shape a scrape digests for each finished
+/// tenant. The small testbed's 200 ticks hold too few samples per metric
+/// to show a cost that grows faster than linearly.
+fn paper_session_records() -> Vec<ParsedRecord> {
+    let telemetry = record(SimConfig::paper_default(Scheme::Pad), 1_000);
+    parse_lossy(&telemetry, Format::Jsonl).records
 }
 
 /// A recorded telemetry stream from the small testbed: the payload
@@ -314,12 +325,7 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
 /// digest costs more than three quarters of the render: a digest that
 /// sorted-inserts each sample into its metric's summary reads above 1.5.
 fn check_scrape_digest_ratio(_c: &mut Criterion) {
-    // The paper's 22 × 10 cluster for 1,000 ticks: every metric sampled
-    // 1,000 times, the shape a scrape digests for each finished tenant.
-    // The small testbed's 200 ticks hold too few samples per metric to
-    // show a cost that grows faster than linearly.
-    let telemetry = record(SimConfig::paper_default(Scheme::Pad), 1_000);
-    let records = parse_lossy(&telemetry, Format::Jsonl).records;
+    let records = paper_session_records();
     black_box(render_parsed(&records, Format::Jsonl));
     black_box(TelemetryReport::from_records(&records));
     let (mut best_render, mut best_digest) = (Duration::MAX, Duration::MAX);
@@ -345,12 +351,53 @@ fn check_scrape_digest_ratio(_c: &mut Criterion) {
     );
 }
 
+/// Paired scrape catch-up measurement: a tenant's digest caught up by
+/// one scrape interval — a report holding the first four fifths of the
+/// paper-scale session extended by the last fifth, the clone it extends
+/// taken outside the timing — versus `TelemetryReport::from_records`
+/// over the whole session, what a scrape would spend if the digest were
+/// rebuilt every time. Min-of-rounds each, interleaved so drift hits
+/// both alike. Prints the grep-able ratio line the CI daemon-suite step
+/// records, and fails above 0.5: a rebuilt digest reads about 1.
+fn check_scrape_catch_up_ratio(_c: &mut Criterion) {
+    let records = paper_session_records();
+    let (held, interval) = records.split_at(records.len() * 4 / 5);
+    let held = TelemetryReport::from_records(held);
+    black_box(TelemetryReport::from_records(&records));
+    let (mut best_catch_up, mut best_whole) = (Duration::MAX, Duration::MAX);
+    for _ in 0..10 {
+        let mut report = held.clone();
+        let t = Instant::now();
+        report.extend(interval);
+        best_catch_up = best_catch_up.min(t.elapsed());
+        black_box(report);
+        let t = Instant::now();
+        let whole = TelemetryReport::from_records(&records);
+        best_whole = best_whole.min(t.elapsed());
+        black_box(whole);
+    }
+    let ratio = best_catch_up.as_secs_f64() / best_whole.as_secs_f64();
+    println!(
+        "daemon_scrape_catch_up_ratio: {ratio:.3} ({} of {} records, catch-up {:.2?} vs whole \
+         digest {:.2?}, min of 10 rounds)",
+        interval.len(),
+        records.len(),
+        best_catch_up,
+        best_whole
+    );
+    assert!(
+        ratio <= 0.5,
+        "scrape catch-up ratio {ratio:.3} exceeds 0.5 of digesting the whole session"
+    );
+}
+
 criterion_group!(
     benches,
     bench_daemon,
     check_ingest_throughput,
     check_selfobs_overhead,
     check_checkpoint_overhead,
-    check_scrape_digest_ratio
+    check_scrape_digest_ratio,
+    check_scrape_catch_up_ratio
 );
 criterion_main!(benches);

@@ -23,6 +23,7 @@
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
 use simkit::alert::{render_alerts_prom, AlertEngine};
@@ -203,7 +204,17 @@ fn route(state: &DaemonState, path: &str) -> Reply {
             let Some(tenant) = state.tenant(name) else {
                 return Reply::not_found();
             };
-            let guard = tenant.lock().expect("tenant lock");
+            let mut guard = tenant.lock().expect("tenant lock");
+            if leaf == "metrics" {
+                // Catch the digest up under the lock, render after it.
+                let report = guard.telemetry_report();
+                drop(guard);
+                let label = format!("tenant=\"{name}\"");
+                return Reply::ok(
+                    "text/plain",
+                    render_prometheus_reports(&[(&label, &report)]),
+                );
+            }
             match leaf {
                 "" => Reply::ok("application/json", guard.status_json()),
                 "summary" => match &guard.summary {
@@ -221,14 +232,6 @@ fn route(state: &DaemonState, path: &str) -> Reply {
                         None => "detector firings: stream still open\n".to_string(),
                     };
                     Reply::ok("text/plain", body)
-                }
-                "metrics" => {
-                    let report = TelemetryReport::from_records(&guard.records);
-                    let label = format!("tenant=\"{}\"", guard.name);
-                    Reply::ok(
-                        "text/plain",
-                        render_prometheus_reports(&[(&label, &report)]),
-                    )
                 }
                 "alerts" => match guard.alerts_json() {
                     Some(doc) => Reply::ok("application/json", doc),
@@ -489,21 +492,23 @@ fn render_metrics(state: &DaemonState) -> String {
     }
 
     // Snapshot every tenant once; the per-family loops below reuse it.
+    // Each lock is held only to catch the tenant's digest up; rendering
+    // runs on the shared reports after every lock is released.
     struct Snap {
         name: String,
         level: u8,
         errors: u64,
-        report: TelemetryReport,
+        report: Arc<TelemetryReport>,
     }
     let snaps: Vec<Snap> = tenants
         .iter()
         .map(|(name, tenant)| {
-            let guard = tenant.lock().expect("tenant lock");
+            let mut guard = tenant.lock().expect("tenant lock");
             Snap {
                 name: name.clone(),
                 level: guard.level().number(),
                 errors: guard.parse_errors,
-                report: TelemetryReport::from_records(&guard.records),
+                report: guard.telemetry_report(),
             }
         })
         .collect();
@@ -537,7 +542,7 @@ fn render_metrics(state: &DaemonState) -> String {
     let reports: Vec<(&str, &TelemetryReport)> = labels
         .iter()
         .zip(&snaps)
-        .map(|(label, s)| (label.as_str(), &s.report))
+        .map(|(label, s)| (label.as_str(), &*s.report))
         .collect();
     out.push_str(&render_prometheus_reports(&reports));
     out
@@ -547,7 +552,8 @@ fn render_metrics(state: &DaemonState) -> String {
 mod tests {
     use super::*;
     use pad::pipeline::PipelineConfig;
-    use simkit::telemetry::{parse, Format};
+    use proptest::prelude::*;
+    use simkit::telemetry::{parse, parse_line, Format};
 
     fn seeded_state() -> DaemonState {
         let state = DaemonState::new(PipelineConfig::default());
@@ -770,5 +776,254 @@ mod tests {
         }
         assert!(get(&state, "/tenants/open/summary").starts_with("HTTP/1.0 404"));
         assert!(get(&state, "/tenants/open").contains("\"finished\":false"));
+    }
+
+    /// A two-rack JSONL stream of `ticks` ticks, each line a wire line,
+    /// with values offset by `base` and a shed event every 7th tick from
+    /// one of two sources.
+    fn wire_lines(ticks: u64, base: f64) -> Vec<String> {
+        let mut lines = Vec::new();
+        for t in 0..ticks {
+            for rack in 0..2 {
+                let v = base + rack as f64 * 5.0 + (t % 7) as f64;
+                lines.push(format!(
+                    "{{\"t\":{},\"m\":\"rack-0{rack}.draw_w\",\"v\":{v}}}",
+                    t * 100
+                ));
+            }
+            if t % 7 == 3 {
+                lines.push(format!(
+                    "{{\"t\":{},\"e\":\"shed\",\"s\":\"rack-0{}\",\"v\":1}}",
+                    t * 100,
+                    t % 2
+                ));
+            }
+        }
+        lines
+    }
+
+    /// Feeds wire lines as a session does, appending a journal frame at
+    /// every tick boundary once `journal` is on.
+    fn ingest(state: &DaemonState, name: &str, lines: &[String], journal: bool) {
+        let tenant = state.tenant(name).unwrap();
+        let mut guard = tenant.lock().unwrap();
+        for line in lines {
+            let r = parse_line(line, 1, Format::Jsonl).unwrap();
+            if guard.ingest_record_wire(line, r) && journal {
+                state.append_checkpoint_frame(&mut guard).unwrap();
+            }
+        }
+    }
+
+    /// Both metrics routes must serve what a fresh digest of the tenant's
+    /// records renders: `/tenants/<id>/metrics` exactly, `/metrics` as
+    /// its tail (the state holds one tenant).
+    fn assert_scrapes_match_a_fresh_digest(state: &DaemonState, name: &str, step: &str) {
+        let records = state
+            .tenant(name)
+            .unwrap()
+            .lock()
+            .unwrap()
+            .records()
+            .to_vec();
+        let label = format!("tenant=\"{name}\"");
+        let fresh = TelemetryReport::from_records(&records);
+        let expected = render_prometheus_reports(&[(&label, &fresh)]);
+        let body = |path: &str| {
+            get(state, path)
+                .split_once("\r\n\r\n")
+                .unwrap()
+                .1
+                .to_string()
+        };
+        assert!(body("/metrics").ends_with(&expected), "{step}: /metrics");
+        assert_eq!(
+            body(&format!("/tenants/{name}/metrics")),
+            expected,
+            "{step}"
+        );
+    }
+
+    #[test]
+    fn tenant_digest_follows_every_writer_of_the_record_log() {
+        let dir = std::env::temp_dir().join(format!("padsimd-http-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = DaemonState::new(PipelineConfig::default());
+        state.state_dir = Some(dir.join("live"));
+        std::fs::create_dir_all(dir.join("live")).unwrap();
+        let name = "acme";
+
+        state.open_tenant(name, Format::Jsonl);
+        assert_scrapes_match_a_fresh_digest(&state, name, "empty");
+        ingest(&state, name, &wire_lines(30, 100.0), false);
+        assert_scrapes_match_a_fresh_digest(&state, name, "first stream");
+
+        // `hello` resets the log; the new stream outgrows the old one.
+        state.open_tenant(name, Format::Jsonl);
+        let second = wire_lines(80, 200.0);
+        let (head, tail) = second.split_at(second.len() / 2);
+        ingest(&state, name, head, false);
+        assert_scrapes_match_a_fresh_digest(&state, name, "after reset");
+        {
+            let tenant = state.tenant(name).unwrap();
+            state.write_checkpoint(&mut tenant.lock().unwrap()).unwrap();
+        }
+        ingest(&state, name, tail, true);
+        {
+            let tenant = state.tenant(name).unwrap();
+            let mut guard = tenant.lock().unwrap();
+            guard.finalize();
+            state.append_checkpoint_frame(&mut guard).unwrap();
+        }
+        assert_scrapes_match_a_fresh_digest(&state, name, "second stream finished");
+
+        // The base alone restores into a fresh tenant, then the journal
+        // frames apply on top of it.
+        let restored_dir = dir.join("restored");
+        std::fs::create_dir_all(&restored_dir).unwrap();
+        let live = |file: &str| std::fs::read_to_string(dir.join("live").join(file)).unwrap();
+        std::fs::write(restored_dir.join("acme.ckpt"), live("acme.ckpt")).unwrap();
+        let journal = live("acme.ckpt.log");
+        let mut restored = DaemonState::new(PipelineConfig::default());
+        restored.state_dir = Some(restored_dir);
+        assert_eq!(restored.load_checkpoints().unwrap(), 1);
+        assert_eq!(
+            restored
+                .tenant(name)
+                .unwrap()
+                .lock()
+                .unwrap()
+                .records()
+                .len(),
+            head.len(),
+            "the base covers the first half"
+        );
+        assert_scrapes_match_a_fresh_digest(&restored, name, "restored base");
+        let (applied, stopped) = restored
+            .tenant(name)
+            .unwrap()
+            .lock()
+            .unwrap()
+            .apply_journal(&journal);
+        assert!(applied > 0 && stopped.is_none(), "{applied} {stopped:?}");
+        assert_scrapes_match_a_fresh_digest(&restored, name, "journal applied");
+        assert_eq!(
+            get(&restored, "/tenants/acme/metrics"),
+            get(&state, "/tenants/acme/metrics"),
+            "restored plus journal serves the live stream's bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Path bytes for requests under `/tenants/`: both tenant names in
+    /// pieces, every leaf, separators, a query and a percent sign.
+    const PATH_PIECES: [&str; 14] = [
+        "a",
+        "b",
+        "ghost",
+        "/",
+        "metrics",
+        "summary",
+        "incidents",
+        "firings",
+        "alerts",
+        "?",
+        "format=prom",
+        "%2F",
+        "..",
+        "",
+    ];
+
+    /// One hostile request: raw bytes (`kind` 0), a path built from
+    /// `PATH_PIECES` under `/tenants/` (1), an oversized line (2), a line
+    /// with no terminator (3), or raw bytes inside a GET line (4).
+    fn hostile_request(kind: usize, bytes: &[u8], pieces: &[usize]) -> Vec<u8> {
+        let path: String = pieces.iter().map(|&i| PATH_PIECES[i]).collect();
+        match kind {
+            0 => bytes.to_vec(),
+            1 => format!("GET /tenants/{path} HTTP/1.0\r\n\r\n").into_bytes(),
+            2 => {
+                let mut line = b"GET /tenants/".to_vec();
+                line.resize(MAX_REQUEST_LINE + bytes.len(), b'a');
+                line.extend_from_slice(b" HTTP/1.0\r\n\r\n");
+                line
+            }
+            3 => format!("GET /tenants/{path} HTTP/1.0").into_bytes(),
+            _ => {
+                let mut line = b"GET /".to_vec();
+                line.extend_from_slice(bytes);
+                line.extend_from_slice(b" HTTP/1.0\n");
+                line
+            }
+        }
+    }
+
+    /// A state with two tenants, `a` finished and `b` still open.
+    fn two_tenant_state() -> DaemonState {
+        let state = DaemonState::new(PipelineConfig::default());
+        state.set_ready(true);
+        for (name, ticks) in [("a", 20), ("b", 9)] {
+            state.open_tenant(name, Format::Jsonl);
+            ingest(&state, name, &wire_lines(ticks, 100.0), false);
+        }
+        state.tenant("a").unwrap().lock().unwrap().finalize();
+        state
+    }
+
+    /// The tenants' expositions: each tenant's own, and the `pad_*`
+    /// tail of `/metrics`.
+    fn expositions(state: &DaemonState) -> Vec<String> {
+        let metrics = get(state, "/metrics");
+        let tail = metrics.find("# HELP pad_metric_count").unwrap();
+        vec![
+            metrics[tail..].to_string(),
+            get(state, "/tenants/a/metrics"),
+            get(state, "/tenants/b/metrics"),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any request bytes get exactly one response whose status line
+        /// is 200, 400, 404 or 503, every response is counted in one
+        /// status class, and no request changes a tenant's exposition.
+        #[test]
+        fn arbitrary_request_bytes_get_one_counted_response(
+            kinds in prop::collection::vec(0usize..5, 1..4),
+            bytes in prop::collection::vec(0u8..=255, 0..48),
+            pieces in prop::collection::vec(0usize..PATH_PIECES.len(), 0..8),
+        ) {
+            let state = two_tenant_state();
+            let before = expositions(&state);
+            for &kind in &kinds {
+                let mut stream = Duplex {
+                    input: io::Cursor::new(hostile_request(kind, &bytes, &pieces)),
+                    output: Vec::new(),
+                };
+                prop_assert!(handle_http(&mut stream, &state).is_ok());
+                let response = String::from_utf8_lossy(&stream.output).into_owned();
+                let (head, body) = response.split_once("\r\n\r\n").expect("header block");
+                let status = head.lines().next().unwrap_or_default();
+                prop_assert!(
+                    ["200 ", "400 ", "404 ", "503 "]
+                        .iter()
+                        .any(|code| status.starts_with(&format!("HTTP/1.0 {code}"))),
+                    "status line {status:?}"
+                );
+                prop_assert_eq!(head.matches("HTTP/1.0 ").count(), 1);
+                prop_assert!(
+                    head.contains(&format!("\r\nContent-Length: {}\r\n", body.len())),
+                    "one body of the announced length"
+                );
+            }
+            let c = &state.counters;
+            prop_assert_eq!(
+                Counters::get(&c.http_requests),
+                Counters::get(&c.http_2xx) + Counters::get(&c.http_4xx) + Counters::get(&c.http_5xx)
+            );
+            prop_assert_eq!(expositions(&state), before);
+        }
     }
 }

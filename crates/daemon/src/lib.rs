@@ -30,8 +30,8 @@
 //! * [`http`] — `/metrics` (merged, tenant-labeled exposition with full
 //!   histogram buckets), `/readyz`/`/statusz`/`/alerts`/`/logs`
 //!   operational surfaces, and the `/tenants/...` JSON API;
-//! * [`server`] — non-blocking accept loops, thread-per-session,
-//!   graceful shutdown with per-tenant output flush;
+//! * [`server`] — one blocking acceptor per listener, a thread per
+//!   connection, graceful shutdown with per-tenant output flush;
 //! * [`client`] — the `send`/`get` helpers the CLI and CI use, plus
 //!   the crash-tolerant [`send_resumable`](client::send_resumable)
 //!   reconnect-and-rewind path;

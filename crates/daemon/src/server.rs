@@ -1,15 +1,16 @@
-//! The daemon's accept loop, graceful drain, and output flush.
+//! The daemon's acceptors, graceful drain, and output flush.
 //!
-//! Std-only concurrency: listeners run non-blocking and are polled at
-//! a few-millisecond cadence; every accepted connection gets its own
-//! thread with a short read timeout so it can observe the shutdown
-//! flag between reads. A `shutdown` control line (no signal handling —
-//! the control path works identically over TCP and Unix sockets) stops
-//! the accept loop, drains every open session, flushes per-tenant
-//! outputs plus `daemon_report.json` to `--out`, and returns cleanly.
+//! Std-only concurrency: every bound listener gets one thread blocked
+//! in `accept()`, and every accepted connection gets its own thread
+//! with a short read timeout so it can observe the shutdown flag
+//! between reads. A `shutdown` control line (no signal handling — the
+//! control path works identically over TCP and Unix sockets) wakes
+//! `serve`, which wakes each acceptor by connecting to its listener,
+//! drains every open session, flushes per-tenant outputs plus
+//! `daemon_report.json` to `--out`, and returns cleanly.
 
-use std::io::{self, Write as _};
-use std::net::TcpListener;
+use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -28,8 +29,14 @@ use crate::state::{Counters, DaemonState};
 /// keep the idle poll cost negligible.
 pub const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Accept-loop poll cadence while both listeners are idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the drain waits to connect to a listener to wake its
+/// acceptor; past it, the drain goes on without that acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Pause after a failed `accept()`. Errors such as running out of file
+/// descriptors repeat until a connection closes, and the acceptor must
+/// not spin on them.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(5);
 
 /// What to bind and where to flush.
 #[derive(Debug, Clone, Default)]
@@ -85,8 +92,8 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     }
     let state = Arc::new(state);
     let data_listener = match (&opts.listen, &opts.uds) {
-        (Some(addr), _) => Some(bind_tcp(addr)?),
-        (None, None) => Some(bind_tcp("127.0.0.1:0")?),
+        (Some(addr), _) => Some(TcpListener::bind(addr)?),
+        (None, None) => Some(TcpListener::bind("127.0.0.1:0")?),
         (None, Some(_)) => None,
     };
     let uds_listener = match &opts.uds {
@@ -94,7 +101,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
         None => None,
     };
     let http_listener = match &opts.http {
-        Some(addr) => Some(bind_tcp(addr)?),
+        Some(addr) => Some(TcpListener::bind(addr)?),
         None => None,
     };
 
@@ -111,85 +118,61 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     if let Some(path) = &opts.ports_file {
         std::fs::write(path, &ports)?;
     }
+
+    // One acceptor per listener, each paired with how to wake it.
+    let mut acceptors: Vec<(Wake, Acceptor)> = Vec::new();
+    if let Some(listener) = data_listener {
+        let wake = Wake::tcp(&listener)?;
+        acceptors.push((
+            wake,
+            spawn_acceptor(&state, tcp_accept(listener), serve_session),
+        ));
+    }
+    #[cfg(unix)]
+    if let (Some(listener), Some(path)) = (uds_listener, &opts.uds) {
+        let accept = move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_read_timeout(Some(READ_TIMEOUT))?;
+            Ok(stream)
+        };
+        let wake = Wake::Uds(path.clone());
+        acceptors.push((wake, spawn_acceptor(&state, accept, serve_session)));
+    }
+    #[cfg(not(unix))]
+    let _ = uds_listener;
+    if let Some(listener) = http_listener {
+        let wake = Wake::tcp(&listener)?;
+        acceptors.push((
+            wake,
+            spawn_acceptor(&state, tcp_accept(listener), serve_http),
+        ));
+    }
     print!("padsimd: serving\n{ports}");
     io::stdout().flush()?;
     state.set_ready(true);
     state.log_event("ready", "", "listeners bound");
 
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !state.shutting_down() {
-        let mut accepted = false;
-        if let Some(listener) = &data_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = run_session(stream, &state) {
-                            eprintln!("padsimd: session error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
-        }
-        #[cfg(unix)]
-        if let Some(listener) = &uds_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = run_session(stream, &state) {
-                            eprintln!("padsimd: session error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
-        }
-        if let Some(listener) = &http_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = handle_http(stream, &state) {
-                            eprintln!("padsimd: http error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
-        }
-        if !accepted {
-            thread::sleep(ACCEPT_POLL);
-            // Reap finished workers so a long-lived daemon's handle
-            // list stays bounded by its *concurrent* session count.
-            workers.retain(|handle| !handle.is_finished());
-        }
-    }
+    state.wait_for_shutdown();
 
-    // Drain: listeners drop (no new connections), every session thread
-    // observes the flag within one read timeout and finalizes its
-    // tenant stream.
+    // Drain: each acceptor wakes, drops its listener (no new
+    // connections) and hands back its connection threads; every session
+    // thread observes the flag within one read timeout and finalizes
+    // its tenant stream.
     state.set_ready(false);
     state.log_event("drain", "", "shutdown requested");
-    drop(data_listener);
-    drop(http_listener);
-    #[cfg(unix)]
-    drop(uds_listener);
-    #[cfg(not(unix))]
-    let _ = uds_listener;
+    let mut workers = Vec::new();
+    for (wake, acceptor) in acceptors {
+        if let Err(e) = wake.connect() {
+            // Left blocked in `accept()`, that acceptor serves nothing
+            // more: it checks the flag before handing a connection on.
+            eprintln!("padsimd: cannot wake an acceptor: {e}");
+            continue;
+        }
+        match acceptor.join() {
+            Ok(handles) => workers.extend(handles),
+            Err(_) => eprintln!("padsimd: an acceptor panicked"),
+        }
+    }
     for handle in workers {
         let _ = handle.join();
     }
@@ -203,10 +186,93 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     Ok(())
 }
 
-fn bind_tcp(addr: &str) -> io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
+/// An acceptor thread; joining it yields the connection threads it has
+/// not reaped.
+type Acceptor = JoinHandle<Vec<JoinHandle<()>>>;
+
+/// Spawns the thread that blocks in `accept` and runs `serve_conn` on
+/// each connection in a thread of its own. It returns once a connection
+/// arrives after a shutdown request — the one `serve` makes to wake it.
+fn spawn_acceptor<S: Send + 'static>(
+    state: &Arc<DaemonState>,
+    mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+    serve_conn: fn(S, &DaemonState),
+) -> Acceptor {
+    let state = Arc::clone(state);
+    thread::spawn(move || {
+        let mut workers: Vec<JoinHandle<()>> = Vec::new();
+        loop {
+            let accepted = accept();
+            if state.shutting_down() {
+                return workers;
+            }
+            // Reap finished connections so a long-lived daemon's handle
+            // list stays bounded by its *concurrent* connection count.
+            workers.retain(|handle| !handle.is_finished());
+            match accepted {
+                Ok(stream) => {
+                    let state = Arc::clone(&state);
+                    workers.push(thread::spawn(move || serve_conn(stream, &state)));
+                }
+                Err(e) => {
+                    eprintln!("padsimd: accept error: {e}");
+                    thread::sleep(ACCEPT_ERROR_PAUSE);
+                }
+            }
+        }
+    })
+}
+
+/// Blocking accepts on a TCP listener, each stream set up with the
+/// session read timeout.
+fn tcp_accept(listener: TcpListener) -> impl FnMut() -> io::Result<TcpStream> + Send {
+    move || {
+        let (stream, _) = listener.accept()?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        Ok(stream)
+    }
+}
+
+fn serve_session<S: Read + Write>(stream: S, state: &DaemonState) {
+    if let Err(e) = run_session(stream, state) {
+        eprintln!("padsimd: session error: {e}");
+    }
+}
+
+fn serve_http<S: Read + Write>(stream: S, state: &DaemonState) {
+    if let Err(e) = handle_http(stream, state) {
+        eprintln!("padsimd: http error: {e}");
+    }
+}
+
+/// Where the drain connects to wake an acceptor blocked on its
+/// listener.
+enum Wake {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Uds(PathBuf),
+}
+
+impl Wake {
+    /// The listener's own address; one bound to every interface
+    /// (`0.0.0.0`, `::`) is reached through loopback.
+    fn tcp(listener: &TcpListener) -> io::Result<Wake> {
+        let mut addr = listener.local_addr()?;
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        Ok(Wake::Tcp(addr))
+    }
+
+    fn connect(&self) -> io::Result<()> {
+        match self {
+            Wake::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).map(drop),
+            #[cfg(unix)]
+            Wake::Uds(path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+        }
+    }
 }
 
 #[cfg(unix)]
@@ -218,9 +284,7 @@ type UdsListener = std::convert::Infallible;
 fn bind_uds(path: &PathBuf) -> io::Result<UdsListener> {
     // A stale socket file from a crashed run would fail the bind.
     let _ = std::fs::remove_file(path);
-    let listener = std::os::unix::net::UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
+    std::os::unix::net::UnixListener::bind(path)
 }
 
 #[cfg(not(unix))]
@@ -290,7 +354,7 @@ pub fn flush_outputs(state: &DaemonState, dir: &PathBuf) -> io::Result<()> {
         let ext = guard.format.extension();
         std::fs::write(
             dir.join(format!("{name}.telemetry.{ext}")),
-            render_parsed(&guard.records, guard.format),
+            render_parsed(guard.records(), guard.format),
         )?;
         let mut alert_events = 0;
         if let Some(doc) = guard.alerts_json() {
@@ -306,7 +370,7 @@ pub fn flush_outputs(state: &DaemonState, dir: &PathBuf) -> io::Result<()> {
         report.push_str(&format!(
             "\n{{\"tenant\":\"{name}\",\"records\":{},\"spans\":{},\"parse_errors\":{},\
              \"sessions\":{},\"level\":{},\"alert_events\":{alert_events}}}",
-            guard.records.len(),
+            guard.records().len(),
             guard.spans.len(),
             guard.parse_errors,
             guard.sessions,

@@ -631,7 +631,7 @@ mod tests {
         assert!(replies.contains("\"records\":2"));
         let tenant = state.tenant("acme").unwrap();
         let guard = tenant.lock().unwrap();
-        assert_eq!(guard.records.len(), 2);
+        assert_eq!(guard.records().len(), 2);
         assert_eq!(guard.spans.len(), 1);
         assert!(guard.finished());
     }
@@ -695,7 +695,7 @@ mod tests {
         {
             let tenant = state.tenant("t").unwrap();
             let guard = tenant.lock().unwrap();
-            assert_eq!(guard.records.len(), 1, "no duplicate commits");
+            assert_eq!(guard.records().len(), 1, "no duplicate commits");
             assert_eq!(guard.seq, 1);
             assert!(!guard.finished(), "stale EOF must not finalize");
         }
@@ -704,7 +704,7 @@ mod tests {
         fresh.handle_line(r2);
         let tenant = state.tenant("t").unwrap();
         let guard = tenant.lock().unwrap();
-        assert_eq!(guard.records.len(), 2);
+        assert_eq!(guard.records().len(), 2);
         assert_eq!(guard.seq, 2);
     }
 
@@ -725,7 +725,7 @@ mod tests {
         assert_eq!(stats.errors, 0, "a fragment is not a parse error");
         let tenant = state.tenant("cut").unwrap();
         let guard = tenant.lock().unwrap();
-        assert_eq!(guard.records.len(), 1);
+        assert_eq!(guard.records().len(), 1);
         assert_eq!(guard.seq, 1, "durable seq excludes the fragment");
         assert_eq!(guard.parse_errors, 0);
     }
@@ -747,7 +747,7 @@ mod tests {
         assert!(replies.contains("\"records\":2"));
         let tenant = state.tenant("c").unwrap();
         let guard = tenant.lock().unwrap();
-        assert_eq!(guard.records.len(), 2);
+        assert_eq!(guard.records().len(), 2);
         assert_eq!(guard.spans.len(), 1);
         assert_eq!(guard.spans[0].name, "attack.drain");
     }
@@ -829,7 +829,10 @@ mod tests {
         // A format flip is refused without touching the stream.
         let replies = run_replies(&state, "hello r csv resume 2\n");
         assert!(replies.contains("err resume format"), "{replies}");
-        assert_eq!(state.tenant("r").unwrap().lock().unwrap().records.len(), 2);
+        assert_eq!(
+            state.tenant("r").unwrap().lock().unwrap().records().len(),
+            2
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pad::pipeline::{
@@ -16,7 +16,8 @@ use simkit::alert::{AlertEvent, AlertRule};
 use simkit::jsonio::{JsonParser, ObjFields};
 use simkit::ring::BoundedRing;
 use simkit::telemetry::{
-    parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord, CSV_HEADER,
+    parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord, TelemetryReport,
+    CSV_HEADER,
 };
 use simkit::trace::{parse_span_line, render_parsed_spans, ParsedSpan, SPAN_CSV_HEADER};
 
@@ -241,8 +242,10 @@ pub struct Tenant {
     pub name: String,
     /// Wire format of the tenant's data lines.
     pub format: Format,
-    /// Every accepted telemetry record, in arrival order.
-    pub records: Vec<ParsedRecord>,
+    /// Every accepted telemetry record, in arrival order. Private: the
+    /// scrape digest and the checkpoint caches each cover a prefix of
+    /// it, so only the tenant's own methods may write it.
+    records: Vec<ParsedRecord>,
     /// Every accepted span line, in arrival order.
     pub spans: Vec<ParsedSpan>,
     /// Records of the still-open first tick, before racks are known.
@@ -300,6 +303,15 @@ pub struct Tenant {
     ckpt_records: (String, usize),
     /// The same incremental cache for the spans section.
     ckpt_spans: (String, usize),
+    /// The `/metrics` digest of the first `.1` records, caught up only
+    /// when a scrape reads it (see
+    /// [`telemetry_report`](Tenant::telemetry_report)). Records only
+    /// grow while a stream is open, so a scrape digests just what
+    /// arrived since the previous one; the two writers that replace
+    /// the log ([`reset`](Tenant::reset) and
+    /// [`restore_from_document`](Tenant::restore_from_document)) empty
+    /// it.
+    digest: (Arc<TelemetryReport>, usize),
     /// Durable high-water mark into `ckpt_records` as `(bytes,
     /// records)`: everything before it is already on disk, in the base
     /// checkpoint or an appended journal frame. The next frame appends
@@ -344,12 +356,32 @@ impl Tenant {
             base_written: false,
             ckpt_records: (String::new(), 0),
             ckpt_spans: (String::new(), 0),
+            digest: Default::default(),
             journal_records: (0, 0),
             journal_spans: (0, 0),
             journal_frame: 0,
             journal_base_seq: 0,
             journal_file: None,
         }
+    }
+
+    /// Every accepted telemetry record, in arrival order.
+    pub fn records(&self) -> &[ParsedRecord] {
+        &self.records
+    }
+
+    /// The telemetry digest of every record so far, for a scrape to
+    /// render after releasing the tenant's lock. Digests only the
+    /// records that arrived since the previous call; the report is the
+    /// one [`TelemetryReport::from_records`] builds over all of them,
+    /// bit for bit. A finished tenant's report is shared, not copied.
+    pub(crate) fn telemetry_report(&mut self) -> Arc<TelemetryReport> {
+        let (report, covered) = &mut self.digest;
+        if *covered < self.records.len() {
+            Arc::make_mut(report).extend(&self.records[*covered..]);
+            *covered = self.records.len();
+        }
+        Arc::clone(report)
     }
 
     /// Attaches a self-observability monitor running `rules`.
@@ -375,6 +407,7 @@ impl Tenant {
         self.base_written = false;
         self.ckpt_records = (String::new(), 0);
         self.ckpt_spans = (String::new(), 0);
+        self.digest = Default::default();
         self.journal_records = (0, 0);
         self.journal_spans = (0, 0);
         self.journal_frame = 0;
@@ -765,6 +798,7 @@ impl Tenant {
         // later base write copies instead of re-rendering.
         self.ckpt_records = (String::new(), 0);
         self.ckpt_spans = (String::new(), 0);
+        self.digest = Default::default();
         self.records = Vec::with_capacity(record_count as usize);
         for i in 0..record_count {
             let line = lines
@@ -1035,8 +1069,14 @@ pub fn checkpoint_schema() -> String {
 pub struct DaemonState {
     /// Self-metrics.
     pub counters: Counters,
-    /// Set by a `shutdown` control line; every loop polls it.
-    pub shutdown: AtomicBool,
+    /// Set by a `shutdown` control line; every session loop polls it.
+    /// Written only by [`request_shutdown`](DaemonState::request_shutdown),
+    /// which also wakes [`wait_for_shutdown`](DaemonState::wait_for_shutdown).
+    shutdown: AtomicBool,
+    /// Held while `shutdown` is set, so a waiter cannot miss the wake.
+    shutdown_lock: Mutex<()>,
+    /// Notified when `shutdown` is set.
+    shutdown_signal: Condvar,
     /// Set once the listeners are bound and serving; cleared on drain.
     /// `/readyz` is this AND not shutting down — `/healthz` stays pure
     /// liveness.
@@ -1084,6 +1124,8 @@ impl DaemonState {
         DaemonState {
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
+            shutdown_lock: Mutex::new(()),
+            shutdown_signal: Condvar::new(),
             ready: AtomicBool::new(false),
             self_obs,
             config,
@@ -1102,9 +1144,20 @@ impl DaemonState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests a shutdown (idempotent).
+    /// Requests a shutdown (idempotent) and wakes
+    /// [`serve`](crate::server::serve), which waits for one.
     pub fn request_shutdown(&self) {
+        let _guard = self.shutdown_lock.lock().expect("shutdown lock");
         self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown_signal.notify_all();
+    }
+
+    /// Blocks until a shutdown has been requested.
+    pub(crate) fn wait_for_shutdown(&self) {
+        let mut guard = self.shutdown_lock.lock().expect("shutdown lock");
+        while !self.shutting_down() {
+            guard = self.shutdown_signal.wait(guard).expect("shutdown lock");
+        }
     }
 
     /// Marks the daemon ready (listeners bound) or draining.
@@ -1465,7 +1518,7 @@ mod tests {
         let guard = again.lock().unwrap();
         assert_eq!(guard.sessions, 2);
         assert_eq!(guard.parse_errors, 1, "tallies survive the reset");
-        assert!(guard.records.is_empty());
+        assert!(guard.records().is_empty());
         assert!(!guard.finished());
         assert_eq!(guard.format, Format::Csv);
         assert_eq!(state.tenants().len(), 1);
@@ -1714,7 +1767,7 @@ mod tests {
         let (again, seq, _) = state.resume_tenant("r", Format::Jsonl).unwrap();
         assert_eq!(seq, 10, "5 ticks x 2 racks consumed");
         let guard = again.lock().unwrap();
-        assert_eq!(guard.records.len(), 10, "resume does not reset");
+        assert_eq!(guard.records().len(), 10, "resume does not reset");
         assert_eq!(guard.sessions, 2);
         drop(guard);
         let e = state.resume_tenant("r", Format::Csv).unwrap_err();
@@ -1749,7 +1802,7 @@ mod tests {
         assert_eq!(reborn.load_checkpoints().unwrap(), 1, "corrupt one skipped");
         let restored = reborn.tenant("persisted").expect("restored from disk");
         let mut guard = restored.lock().unwrap();
-        assert_eq!(guard.records.len(), 40);
+        assert_eq!(guard.records().len(), 40);
         assert_eq!(guard.seq, 40);
         let mut live = tenant.lock().unwrap();
         assert_eq!(guard.checkpoint_document(), live.checkpoint_document());

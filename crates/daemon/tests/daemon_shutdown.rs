@@ -6,7 +6,10 @@ mod common;
 
 use common::{recorded_run, TestDaemon};
 use paddaemon::client::{send, Conn, SendJob};
+use paddaemon::server::{serve, ServeOptions};
 use std::io::Write as _;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 #[test]
 fn shutdown_drains_open_sessions_and_flushes_outputs() {
@@ -94,4 +97,55 @@ fn malformed_lines_surface_in_the_flush_report_not_as_aborts() {
     daemon.shutdown();
     let report = std::fs::read_to_string(out_dir.join("daemon_report.json")).unwrap();
     assert!(report.contains("\"parse_errors\":2"), "{report}");
+}
+
+#[test]
+fn serve_returns_promptly_with_idle_listeners_one_on_every_interface() {
+    let dir = common::scratch_dir("idle");
+    let (ports_file, uds) = (dir.join("ports.txt"), dir.join("data.sock"));
+    let opts = ServeOptions {
+        listen: Some("127.0.0.1:0".to_string()),
+        uds: Some(uds.clone()),
+        http: Some("0.0.0.0:0".to_string()),
+        ports_file: Some(ports_file.clone()),
+        ..ServeOptions::default()
+    };
+    let handle = std::thread::spawn(move || serve(opts));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let ports = loop {
+        let text = std::fs::read_to_string(&ports_file).unwrap_or_default();
+        if text.lines().any(|l| l.starts_with("http ")) {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "daemon wrote its ports in time");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let port = |name: &str| -> u16 {
+        let line = ports.lines().find_map(|l| l.strip_prefix(name)).unwrap();
+        line.rsplit(':').next().unwrap().parse().unwrap()
+    };
+    let (data_port, http_port) = (port("data "), port("http "));
+
+    let t0 = Instant::now();
+    let replies = send(
+        &format!("unix:{}", uds.display()),
+        &SendJob {
+            shutdown: true,
+            ..SendJob::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(replies, vec!["ok shutdown".to_string()]);
+    while !handle.is_finished() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "serve hung");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().unwrap().unwrap();
+    // A wake that failed would cost the connect timeout (1 s).
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    // Every acceptor was woken and dropped its listener.
+    for port in [data_port, http_port] {
+        assert!(TcpStream::connect(("127.0.0.1", port)).is_err(), "{port}");
+    }
+    assert!(!uds.exists());
 }

@@ -216,12 +216,14 @@ impl FromIterator<f64> for OnlineStats {
 /// Retained-sample summary with order statistics.
 ///
 /// [`push`](Self::push) inserts each value into the sorted sample, which
-/// costs O(n) per value. Collecting an iterator (`FromIterator`) sorts
-/// once instead, O(n log n) in all, and builds the same summary bit for
-/// bit: equal values sit latest first either way, which shows only
-/// between `-0.0` and `0.0`. Where a NaN lands in the sorted sample
-/// follows arrival order and is otherwise unspecified; a sample holding
-/// one is collected by pushing each value in turn.
+/// costs O(n) per value. Extending by a batch (`Extend`, and
+/// `FromIterator`, which extends an empty summary) sorts the batch once
+/// and merges it into the sample, O(n + m log m) in all, and builds the
+/// same summary bit for bit: equal values sit latest first either way,
+/// which shows only between `-0.0` and `0.0`. Where a NaN lands in the
+/// sorted sample follows arrival order and is otherwise unspecified, so
+/// from the first NaN onward (in the batch or already in the sample)
+/// values are pushed one at a time.
 ///
 /// # Example
 ///
@@ -335,8 +337,45 @@ impl Summary {
 }
 
 impl Extend<f64> for Summary {
+    /// Adds the values in arrival order: what pushing each in turn
+    /// builds, bit for bit (see the type docs).
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
+        let mut batch: Vec<f64> = iter.into_iter().collect();
+        // Where `push` puts a NaN, and every value after one, depends on
+        // where the NaN sits, which no merge reproduces.
+        let mergeable = if self.stats.nan_count() > 0 {
+            0
+        } else {
+            batch.iter().position(|v| v.is_nan()).unwrap_or(batch.len())
+        };
+        let pushed = batch.split_off(mergeable);
+        for &v in &batch {
+            self.stats.push(v);
+        }
+        // `push` puts each value before the equal ones it already holds;
+        // a stable sort of the reversed arrivals does the same within
+        // the batch, and the merge below does it against the sample.
+        batch.reverse();
+        batch.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free batch"));
+        if self.sorted.is_empty() {
+            self.sorted = batch;
+        } else {
+            // Merge from the back, in place: an old value goes after
+            // every new value it equals.
+            let mut old = self.sorted.len();
+            self.sorted.resize(old + batch.len(), 0.0);
+            let mut slot = self.sorted.len();
+            for &v in batch.iter().rev() {
+                while old > 0 && self.sorted[old - 1] >= v {
+                    old -= 1;
+                    slot -= 1;
+                    self.sorted[slot] = self.sorted[old];
+                }
+                slot -= 1;
+                self.sorted[slot] = v;
+            }
+        }
+        for v in pushed {
             self.push(v);
         }
     }
@@ -345,19 +384,7 @@ impl Extend<f64> for Summary {
 impl FromIterator<f64> for Summary {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut s = Summary::new();
-        let mut values: Vec<f64> = iter.into_iter().collect();
-        if values.iter().any(|v| v.is_nan()) {
-            s.extend(values);
-            return s;
-        }
-        for &v in &values {
-            s.stats.push(v);
-        }
-        // `push` puts each value before the equal ones it already holds;
-        // a stable sort of the reversed arrivals does the same.
-        values.reverse();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free sample"));
-        s.sorted = values;
+        s.extend(iter);
         s
     }
 }

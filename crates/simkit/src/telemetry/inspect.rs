@@ -41,44 +41,77 @@ pub struct EventDigest {
 
 /// Summary view over a recorded telemetry trace.
 ///
+/// A report grows: [`extend`](Self::extend) digests records on top of
+/// what it already holds, and digesting records in any chunking builds
+/// the report [`from_records`](Self::from_records) builds over all of
+/// them, bit for bit.
+///
 /// # Example
 ///
 /// ```
 /// use simkit::telemetry::{parse, Format, TelemetryReport};
 ///
 /// let trace = "{\"t\":0,\"m\":\"g\",\"v\":1}\n{\"t\":100,\"m\":\"g\",\"v\":3}\n";
-/// let report = TelemetryReport::from_records(&parse(trace, Format::Jsonl).unwrap());
+/// let records = parse(trace, Format::Jsonl).unwrap();
+/// let report = TelemetryReport::from_records(&records);
 /// assert_eq!(report.metric_names(), vec!["g"]);
 /// assert_eq!(report.metric("g").unwrap().stats.mean(), 2.0);
+///
+/// let mut grown = TelemetryReport::from_records(&records[..1]);
+/// grown.extend(&records[1..]);
+/// assert_eq!(grown, report);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
     metrics: BTreeMap<String, MetricDigest>,
     events: BTreeMap<String, EventDigest>,
     samples: u64,
     span_ms: u64,
+    /// Metric names in first-seen order: where [`extend`](Self::extend)
+    /// gathers each metric's new samples, and the order it tries them
+    /// in.
+    slots: Vec<String>,
+    /// Each metric's place in `slots`.
+    slot_of: BTreeMap<String, usize>,
+}
+
+/// Two reports are equal when they digest the same telemetry. The order
+/// metrics were first seen in only steers [`TelemetryReport::extend`],
+/// so it is not compared.
+impl PartialEq for TelemetryReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.metrics == other.metrics
+            && self.events == other.events
+            && self.samples == other.samples
+            && self.span_ms == other.span_ms
+    }
 }
 
 impl TelemetryReport {
-    /// Digests parsed records into a report, in time linear in the
-    /// record count: each metric's samples are gathered in arrival order
-    /// under a name borrowed from the records, then sorted once (see
-    /// [`Summary`]). The report is the one that pushing each sample in
-    /// turn would build, bit for bit.
+    /// Digests parsed records into a report: [`extend`](Self::extend)
+    /// of an empty one.
     pub fn from_records(records: &[ParsedRecord]) -> Self {
         let mut report = TelemetryReport::default();
-        // Metrics in first-seen order, each with its samples in arrival
-        // order, and an index from name to slot.
-        let mut slots: Vec<(&str, Vec<f64>)> = Vec::new();
-        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+        report.extend(records);
+        report
+    }
+
+    /// Digests `records` on top of what the report holds, in time linear
+    /// in the record count: each metric's new samples are gathered in
+    /// arrival order, then sorted once and merged into its summary (see
+    /// [`Summary`]). The report is the one that pushing each sample in
+    /// turn would build, bit for bit.
+    pub fn extend(&mut self, records: &[ParsedRecord]) {
+        // Each metric's new samples in arrival order, by slot.
+        let mut batches: Vec<Vec<f64>> = vec![Vec::new(); self.slots.len()];
         // The recorder writes its metrics in the same order every tick,
         // so a sample's slot is usually the one after the previous
         // sample's.
         let mut next = 0;
         for r in records {
-            report.span_ms = report.span_ms.max(r.time_ms);
+            self.span_ms = self.span_ms.max(r.time_ms);
             if r.is_event {
-                let digest = report
+                let digest = self
                     .events
                     .entry(r.name.clone())
                     .or_insert_with(|| EventDigest {
@@ -94,29 +127,36 @@ impl TelemetryReport {
                 if let Err(idx) = digest.sources.binary_search(&r.source) {
                     digest.sources.insert(idx, r.source.clone());
                 }
-            } else {
-                let slot = if slots.get(next).is_some_and(|(name, _)| *name == r.name) {
-                    next
-                } else {
-                    *index.entry(&r.name).or_insert_with(|| {
-                        slots.push((&r.name, Vec::new()));
-                        slots.len() - 1
-                    })
-                };
-                slots[slot].1.push(r.value);
-                next = slot + 1;
-                report.samples += 1;
+                continue;
             }
-        }
-        for (name, values) in slots {
-            let digest = MetricDigest {
-                name: name.to_string(),
-                stats: values.iter().copied().collect(),
-                summary: values.into_iter().collect(),
+            let slot = if self.slots.get(next).is_some_and(|name| *name == r.name) {
+                next
+            } else if let Some(&slot) = self.slot_of.get(&r.name) {
+                slot
+            } else {
+                let digest = MetricDigest {
+                    name: r.name.clone(),
+                    stats: OnlineStats::new(),
+                    summary: Summary::new(),
+                };
+                self.metrics.insert(r.name.clone(), digest);
+                self.slot_of.insert(r.name.clone(), self.slots.len());
+                self.slots.push(r.name.clone());
+                batches.push(Vec::new());
+                self.slots.len() - 1
             };
-            report.metrics.insert(name.to_string(), digest);
+            batches[slot].push(r.value);
+            next = slot + 1;
+            self.samples += 1;
         }
-        report
+        for (name, batch) in self.slots.iter().zip(batches) {
+            if batch.is_empty() {
+                continue;
+            }
+            let digest = self.metrics.get_mut(name).expect("every slot has a digest");
+            digest.stats.extend(batch.iter().copied());
+            digest.summary.extend(batch);
+        }
     }
 
     /// Metric names present in the trace, sorted.

@@ -9,7 +9,7 @@ use simkit::engine::{ControlFlow, Engine};
 use simkit::rng::RngStream;
 use simkit::series::TimeSeries;
 use simkit::stats::{OnlineStats, Summary};
-use simkit::telemetry::{MetricId, MetricRegistry};
+use simkit::telemetry::{MetricId, MetricRegistry, ParsedRecord, TelemetryReport};
 use simkit::time::{SimDuration, SimTime};
 
 proptest! {
@@ -162,28 +162,161 @@ const SUMMARY_POOL: [f64; 7] = [0.0, -0.0, 1.5, -1.5, f64::INFINITY, f64::NEG_IN
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Collecting a summary sorts once, yet builds what pushing each
-    /// value in turn from `Summary::new()` builds, bit for bit (the
-    /// comparison is on bits because `-0.0 == 0.0`). Half the cases
-    /// carry a NaN, which takes the push path.
+    /// Collecting a summary, or extending one chunk by chunk, sorts each
+    /// batch once, yet builds what pushing each value in turn from
+    /// `Summary::new()` builds, bit for bit (the comparison is on bits
+    /// because `-0.0 == 0.0`). Chunks may be empty. Three cases in four
+    /// carry a NaN in the first, a middle or the last chunk, from where
+    /// on the values are pushed.
     #[test]
     fn collected_summary_matches_pushed_bits(
-        picks in prop::collection::vec(0usize..SUMMARY_POOL.len(), 0..64),
-        with_nan in any::<bool>(),
-        nan_at in 0usize..64,
+        picks in prop::collection::vec(
+            prop::collection::vec(0usize..SUMMARY_POOL.len(), 0..16),
+            1..6,
+        ),
+        nan_chunk in 0usize..4,
+        nan_at in 0usize..16,
     ) {
-        let mut values: Vec<f64> = picks.iter().map(|&i| SUMMARY_POOL[i]).collect();
-        if with_nan {
-            values.insert(nan_at % (values.len() + 1), f64::NAN);
+        let mut chunks: Vec<Vec<f64>> = picks
+            .iter()
+            .map(|chunk| chunk.iter().map(|&i| SUMMARY_POOL[i]).collect())
+            .collect();
+        let with_nan = match nan_chunk {
+            0 => None,
+            1 => Some(0),
+            2 => Some(chunks.len() / 2),
+            _ => Some(chunks.len() - 1),
+        };
+        if let Some(c) = with_nan {
+            let at = nan_at % (chunks[c].len() + 1);
+            chunks[c].insert(at, f64::NAN);
         }
+        let values = chunks.concat();
         let mut pushed = Summary::new();
         for &v in &values {
             pushed.push(v);
         }
         let collected: Summary = values.iter().copied().collect();
+        let mut extended = Summary::new();
+        for chunk in &chunks {
+            extended.extend(chunk.iter().copied());
+        }
         let bits = |s: &Summary| s.sorted_values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&collected), bits(&pushed));
+        prop_assert_eq!(bits(&extended), bits(&pushed));
         prop_assert_eq!(collected.snapshot_json(), pushed.snapshot_json());
+        prop_assert_eq!(extended.snapshot_json(), pushed.snapshot_json());
+    }
+}
+
+/// Metric names of the report property's recordings.
+const REPORT_METRICS: [&str; 4] = ["rack-00.draw_w", "rack-01.draw_w", "a.x", "z.y"];
+
+/// Sample values of the report property: signed zeros and repeats in
+/// the first `REPORT_FINITE`, then both infinities and a NaN.
+const REPORT_POOL: [f64; 11] = [
+    0.0,
+    -0.0,
+    1.5,
+    -2.0,
+    3.0,
+    1.5,
+    -0.0,
+    7.25,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+const REPORT_FINITE: usize = 8;
+
+/// One recorded tick of the report property: a sort key per metric
+/// (the order the tick writes them in), a value pick per metric, and an
+/// event pick (below 6 adds an event of one of two kinds from one of
+/// three sources).
+type TickPicks = (Vec<usize>, Vec<usize>, usize);
+
+/// A recording-shaped stream: every tick samples each metric once, in
+/// the tick's own order, from the finite values only when `finite`.
+fn report_records(ticks: &[TickPicks], finite: bool) -> Vec<ParsedRecord> {
+    let pool = if finite {
+        &REPORT_POOL[..REPORT_FINITE]
+    } else {
+        &REPORT_POOL[..]
+    };
+    let mut records = Vec::new();
+    for (t, (keys, values, event)) in ticks.iter().enumerate() {
+        let mut order: Vec<usize> = (0..REPORT_METRICS.len()).collect();
+        order.sort_by_key(|&m| keys[m]);
+        for m in order {
+            records.push(ParsedRecord {
+                time_ms: t as u64 * 100,
+                name: REPORT_METRICS[m].to_string(),
+                source: String::new(),
+                value: pool[values[m] % pool.len()],
+                is_event: false,
+            });
+        }
+        if *event < 6 {
+            records.push(ParsedRecord {
+                time_ms: t as u64 * 100,
+                name: ["shed", "breaker_trip"][event % 2].to_string(),
+                source: format!("rack-0{}", event % 3),
+                value: 1.0,
+                is_event: true,
+            });
+        }
+    }
+    records
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Extending a report chunk by chunk, at arbitrary cuts (empty
+    /// chunks included), builds the report `from_records` builds over
+    /// the whole stream: equal, with every metric's state the same bits,
+    /// and rendering the same bytes.
+    #[test]
+    fn chunked_report_matches_whole_report(
+        ticks in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..1000, REPORT_METRICS.len()),
+                prop::collection::vec(0usize..REPORT_POOL.len(), REPORT_METRICS.len()),
+                0usize..10,
+            ),
+            1..40,
+        ),
+        finite in any::<bool>(),
+        cuts in prop::collection::vec(0usize..1000, 0..6),
+    ) {
+        let records = report_records(&ticks, finite);
+        let whole = TelemetryReport::from_records(&records);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (records.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut chunked = TelemetryReport::default();
+        let mut start = 0;
+        for end in cuts.into_iter().chain([records.len()]) {
+            chunked.extend(&records[start..end]);
+            start = end;
+        }
+        let bits = |r: &TelemetryReport| {
+            r.metric_names()
+                .iter()
+                .map(|&name| {
+                    let d = r.metric(name).expect("listed metric");
+                    format!("{name} {} {}", d.stats.snapshot_json(), d.summary.snapshot_json())
+                })
+                .collect::<Vec<_>>()
+        };
+        // `==` takes NaN for unequal to itself (a NaN sample, or the
+        // mean of both infinities), so it is compared on finite streams;
+        // the bits cover every case.
+        if finite {
+            prop_assert_eq!(&chunked, &whole);
+        }
+        prop_assert_eq!(bits(&chunked), bits(&whole));
+        prop_assert_eq!(chunked.render(), whole.render());
+        prop_assert_eq!(chunked.render_prometheus(), whole.render_prometheus());
     }
 }
 
