@@ -72,12 +72,27 @@ pub fn valid_tenant(name: &str) -> bool {
     valid_name(name) && name.len() <= MAX_TENANT_LEN && !name.starts_with(['.', '-'])
 }
 
-/// Classifies one line (without its trailing newline).
+/// Classifies one line (with or without its trailing newline).
 ///
 /// Control keywords claim the line only when they are the whole first
 /// token, so telemetry data — which always starts `{` or a digit (CSV)
-/// or is a known header — can never be shadowed.
+/// or is a known header — can never be shadowed. A line that starts
+/// with `{` or a digit is data without a look at the rest of it.
 pub fn classify(line: &str) -> Line {
+    if line
+        .as_bytes()
+        .first()
+        .is_some_and(|&b| b == b'{' || b.is_ascii_digit())
+    {
+        return Line::Data;
+    }
+    classify_words(line)
+}
+
+/// The whole-line scan behind [`classify`]: trims the line ending and
+/// matches the first whitespace-separated word against the control
+/// keywords.
+fn classify_words(line: &str) -> Line {
     let trimmed = line.trim_end_matches(['\r', '\n']);
     if trimmed.is_empty() {
         return Line::Blank;
@@ -136,6 +151,7 @@ pub fn classify(line: &str) -> Line {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn control_lines_parse() {
@@ -218,5 +234,86 @@ mod tests {
         assert!(!valid_tenant("-flag"));
         assert!(!valid_tenant("a/b"));
         assert!(!valid_tenant(&"x".repeat(65)));
+    }
+
+    /// Words and separators the generated lines are built from: every
+    /// control keyword, hello arguments good and bad, data openers, and
+    /// the whitespace and line endings the scan trims or splits on.
+    const PIECES: [&str; 22] = [
+        "hello",
+        "end",
+        "ping",
+        "shutdown",
+        "acme",
+        "jsonl",
+        "csv",
+        "resume",
+        "42",
+        "-3",
+        "../x",
+        "{\"t\":0}",
+        "7,sample",
+        "time_ms",
+        " ",
+        "  ",
+        "\t",
+        "\r",
+        "\n",
+        "\r\n",
+        "\u{b}",
+        "é",
+    ];
+
+    /// Every control line, and lines that come close to one, cut at
+    /// every character boundary, with and without each line ending.
+    #[test]
+    fn classify_equals_the_whole_line_scan_on_keyword_prefixes() {
+        let lines = [
+            "hello acme",
+            "hello acme jsonl",
+            "hello rack-farm.eu csv resume 18446744073709551615",
+            "hello acme resume 42",
+            "hello acme csv resume 1 extra",
+            "hello ../evil",
+            "hello acme xml",
+            "end",
+            "end now",
+            "ping",
+            "ping pong",
+            "shutdown",
+            "shutdown -f",
+            " \thello acme",
+            "helloacme",
+            "endless",
+        ];
+        for line in lines {
+            for cut in (0..=line.len()).filter(|&i| line.is_char_boundary(i)) {
+                for ending in ["", "\n", "\r\n", "\r", "\n\n"] {
+                    for opener in ["", "{", "0", " "] {
+                        let text = format!("{opener}{}{ending}", &line[..cut]);
+                        assert_eq!(classify(&text), classify_words(&text), "{text:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `classify` equals the whole-line scan on arbitrary strings:
+        /// lossily decoded bytes, and lines assembled from keywords,
+        /// arguments, data openers and whitespace.
+        #[test]
+        fn classify_equals_the_whole_line_scan(
+            bytes in prop::collection::vec(0u8..=255, 0..24),
+            pieces in prop::collection::vec(0usize..PIECES.len(), 0..8),
+        ) {
+            let lossy = String::from_utf8_lossy(&bytes).into_owned();
+            let built: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            for text in [lossy.clone(), built.clone(), format!("{built}{lossy}")] {
+                prop_assert_eq!(classify(&text), classify_words(&text), "{:?}", text);
+            }
+        }
     }
 }

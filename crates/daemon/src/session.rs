@@ -5,8 +5,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use simkit::telemetry::{is_csv_header, parse_line, Format};
-use simkit::trace::{is_span_csv_header, parse_span_line};
+use simkit::telemetry::{is_csv_header, parse_line, Format, ParsedRecord};
+use simkit::trace::{is_span_csv_header, parse_span_line, ParsedSpan};
 
 use crate::proto::{classify, Control, Line};
 use crate::state::{Counters, DaemonState, Tenant};
@@ -64,11 +64,12 @@ struct Poll {
 }
 
 /// One wire line, as framed by [`LineReader`].
-enum WireLine {
+#[derive(Debug, PartialEq, Eq)]
+enum WireLine<'a> {
     /// Clean end of stream.
     Eof,
-    /// A complete, newline-terminated UTF-8 line.
-    Text(String),
+    /// A complete UTF-8 line, its newline included.
+    Text(&'a str),
     /// A line longer than [`MAX_LINE_BYTES`]; its bytes were discarded.
     Oversized,
     /// A newline-terminated line that was not valid UTF-8.
@@ -79,23 +80,38 @@ enum WireLine {
 ///
 /// Unlike `BufRead::read_line`, this (a) caps how many bytes one line
 /// may buffer, discarding the rest of an oversized line instead of
-/// growing without bound, and (b) turns invalid UTF-8 into a per-line
-/// verdict instead of a session-fatal `InvalidData` error. Partial
-/// lines survive `WouldBlock`: accumulated bytes stay in `buf` and the
-/// next call resumes where the read left off.
+/// growing without bound, (b) turns invalid UTF-8 into a per-line
+/// verdict instead of a session-fatal `InvalidData` error, and (c)
+/// copies nothing it does not have to: a line is handed out as a `&str`
+/// into the read buffer, validated in place, and only a line that
+/// straddles a refill of that buffer is copied, into `spill`. Partial
+/// lines survive `WouldBlock`: their bytes stay in `spill` and the next
+/// call resumes where the read left off.
 struct LineReader<S: Read> {
+    /// The read buffer, [`MAX_LINE_BYTES`] long, so any line short
+    /// enough to accept fits it whole.
     inner: BufReader<S>,
-    buf: Vec<u8>,
+    /// The head of a line that straddles a refill, then the whole line
+    /// once its newline arrives. A head never holds a newline, so a
+    /// trailing one marks a line already handed out.
+    spill: Vec<u8>,
+    /// Bytes at the front of `inner`'s buffer that the line handed out
+    /// last still borrows; consumed at the next call.
+    lent: usize,
     /// `true` while skipping the remainder of an oversized line.
     discarding: bool,
+    /// When a `read()` last returned bytes: the idle-reap clock.
+    last_read: Instant,
 }
 
 impl<S: Read> LineReader<S> {
     fn new(stream: S) -> Self {
         LineReader {
-            inner: BufReader::new(stream),
-            buf: Vec::new(),
+            inner: BufReader::with_capacity(MAX_LINE_BYTES, stream),
+            spill: Vec::new(),
+            lent: 0,
             discarding: false,
+            last_read: Instant::now(),
         }
     }
 
@@ -105,8 +121,13 @@ impl<S: Read> LineReader<S> {
 
     /// Reads the next line, propagating `WouldBlock`/`TimedOut` with
     /// all partial-line state intact.
-    fn next_line(&mut self) -> io::Result<WireLine> {
+    fn next_line(&mut self) -> io::Result<WireLine<'_>> {
+        self.inner.consume(std::mem::take(&mut self.lent));
+        if self.spill.last() == Some(&b'\n') {
+            self.spill.clear();
+        }
         loop {
+            let refill = self.inner.buffer().is_empty();
             let available = self.inner.fill_buf()?;
             if available.is_empty() {
                 // EOF. An unterminated trailing fragment is
@@ -116,49 +137,71 @@ impl<S: Read> LineReader<S> {
                 // fragment in full. Committing it would advance the
                 // durable sequence number past data the client never
                 // finished delivering.
-                self.buf.clear();
+                self.spill.clear();
                 self.discarding = false;
                 return Ok(WireLine::Eof);
             }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let take = pos + 1;
-                    if !self.discarding && self.buf.len() + take <= MAX_LINE_BYTES {
-                        self.buf.extend_from_slice(&available[..take]);
-                    } else if !self.discarding {
-                        self.discarding = true;
-                        self.buf.clear();
-                    }
-                    self.inner.consume(take);
-                    return Ok(self.take_line());
-                }
-                None => {
-                    let len = available.len();
-                    if !self.discarding {
-                        if self.buf.len() + len > MAX_LINE_BYTES {
-                            self.discarding = true;
-                            self.buf.clear();
-                        } else {
-                            self.buf.extend_from_slice(available);
-                        }
-                    }
-                    self.inner.consume(len);
-                }
+            if refill {
+                self.last_read = Instant::now();
             }
+            let Some(pos) = find_newline(available) else {
+                let len = available.len();
+                if !self.discarding {
+                    if self.spill.len() + len > MAX_LINE_BYTES {
+                        self.discarding = true;
+                        self.spill.clear();
+                    } else {
+                        self.spill.extend_from_slice(available);
+                    }
+                }
+                self.inner.consume(len);
+                continue;
+            };
+            let take = pos + 1;
+            if self.discarding || self.spill.len() + take > MAX_LINE_BYTES {
+                self.discarding = false;
+                self.spill.clear();
+                self.inner.consume(take);
+                return Ok(WireLine::Oversized);
+            }
+            if self.spill.is_empty() {
+                self.lent = take;
+            } else {
+                self.spill.extend_from_slice(&available[..take]);
+                self.inner.consume(take);
+            }
+            break;
         }
-    }
-
-    fn take_line(&mut self) -> WireLine {
-        if self.discarding {
-            self.discarding = false;
-            self.buf.clear();
-            return WireLine::Oversized;
-        }
-        match String::from_utf8(std::mem::take(&mut self.buf)) {
+        let line = match self.lent {
+            0 => &self.spill[..],
+            lent => &self.inner.buffer()[..lent],
+        };
+        Ok(match std::str::from_utf8(line) {
             Ok(text) => WireLine::Text(text),
             Err(_) => WireLine::BadUtf8,
+        })
+    }
+}
+
+/// The index of the first newline in `bytes`, tested eight bytes at a
+/// time: a word XOR eight newlines has a zero byte where `bytes` has a
+/// newline, and the lowest byte the zero-byte test flags is always a
+/// true zero (a borrow only ever spreads upward, into later bytes).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
         }
     }
+    let tail = words.remainder();
+    let start = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|pos| start + pos)
 }
 
 fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Result<SessionStats> {
@@ -174,7 +217,6 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
     };
     let mut reader = LineReader::new(stream);
     let mut poll: Option<Poll> = None;
-    let mut last_read = Instant::now();
     loop {
         if state.shutting_down() {
             break;
@@ -182,7 +224,6 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
         match reader.next_line() {
             Ok(WireLine::Eof) => break,
             Ok(wire) => {
-                last_read = Instant::now();
                 if state.self_obs {
                     let poll = poll.get_or_insert_with(|| Poll {
                         started: Instant::now(),
@@ -192,11 +233,11 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
                     poll.lines += 1;
                 }
                 let reply = match wire {
-                    WireLine::Text(line) => session.handle_line(&line),
+                    WireLine::Text(line) => session.handle_line(line),
                     WireLine::Oversized => {
-                        session.error(&format!("line exceeds {MAX_LINE_BYTES} bytes"))
+                        session.handle_bad_line(&format!("line exceeds {MAX_LINE_BYTES} bytes"))
                     }
-                    WireLine::BadUtf8 => session.error("line is not valid UTF-8"),
+                    WireLine::BadUtf8 => session.handle_bad_line("line is not valid UTF-8"),
                     WireLine::Eof => unreachable!("handled above"),
                 };
                 if let Some(reply) = reply {
@@ -218,7 +259,7 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
             {
                 session.flush_poll(&mut poll);
                 if let Some(timeout) = state.idle_timeout {
-                    if last_read.elapsed() >= timeout {
+                    if reader.last_read.elapsed() >= timeout {
                         Counters::bump(&state.counters.sessions_reaped);
                         let tenant = session
                             .tenant
@@ -238,6 +279,15 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
     session.flush_poll(&mut poll);
     session.drain();
     Ok(session.stats)
+}
+
+/// A data line as the codec read it, before it is committed under the
+/// tenant's lock.
+enum Parsed {
+    Record(ParsedRecord),
+    Span(ParsedSpan),
+    /// A line the codec or the framing rejected.
+    Malformed,
 }
 
 struct Session<'a> {
@@ -354,13 +404,13 @@ impl Session<'_> {
         }
     }
 
-    /// Feeds a data line to the codec the framing selects.
+    /// Parses a data line with the codec the framing selects, outside
+    /// the tenant's lock, then commits it.
     fn handle_data(&mut self, raw: &str) -> Option<String> {
-        let Some(tenant) = self.tenant.clone() else {
+        if self.tenant.is_none() {
             return self.error("data line before hello");
-        };
+        }
         let text = raw.trim_end_matches(['\r', '\n']);
-        let line_no = self.line_no;
         // CSV headers only switch blocks — they buffer nothing, advance
         // no sequence number, and are exempt from shedding.
         if self.format == Format::Csv {
@@ -373,102 +423,129 @@ impl Session<'_> {
                 return None;
             }
         }
-        // Overload shedding: past the watermark the line is dropped
-        // with accounting but without advancing the stream sequence, so
-        // a resuming client retransmits it.
-        {
-            let mut guard = tenant.lock().expect("tenant lock");
-            if guard.generation != self.generation {
-                let name = guard.name.clone();
-                drop(guard);
-                self.fence(&name);
-                return None;
-            }
-            if guard.buffered_lines() >= self.state.max_buffered_lines {
-                guard.shed += 1;
-                Counters::bump(&self.state.counters.lines_shed);
-                let newly = !guard.overloaded;
-                guard.overloaded = true;
-                let name = guard.name.clone();
-                let buffered = guard.buffered_lines();
-                drop(guard);
-                if newly {
-                    Counters::bump(&self.state.counters.overloaded_tenants);
-                    self.state
-                        .log_event("overload_shed", &name, &format!("buffered={buffered}"));
-                }
-                return None;
-            }
-        }
         // Channel framing: JSONL lines self-describe by prefix; CSV rows
         // bind to whichever block the last header opened.
         let is_span = match self.format {
             Format::Jsonl => text.starts_with("{\"id\":"),
             Format::Csv => self.csv_block == CsvBlock::Spans,
         };
-        if is_span {
-            match parse_span_line(text, line_no, self.format) {
-                Ok(span) => {
-                    let mut guard = tenant.lock().expect("tenant lock");
-                    if guard.generation != self.generation {
-                        let name = guard.name.clone();
-                        drop(guard);
-                        self.fence(&name);
-                        return None;
-                    }
-                    guard.ingest_span_wire(text, span);
-                    drop(guard);
-                    self.stats.spans += 1;
-                    Counters::bump(&self.state.counters.spans);
-                    None
-                }
-                Err(e) => self.data_error(&tenant, &e.to_string()),
-            }
+        let parsed = if is_span {
+            parse_span_line(text, self.line_no, self.format).map_or(Parsed::Malformed, Parsed::Span)
         } else {
-            match parse_line(text, line_no, self.format) {
-                Ok(record) => {
-                    let mut guard = tenant.lock().expect("tenant lock");
-                    if guard.generation != self.generation {
-                        let name = guard.name.clone();
-                        drop(guard);
-                        self.fence(&name);
-                        return None;
-                    }
-                    let ticked = guard.ingest_record_wire(text, record);
-                    let transitions = guard.take_transitions();
-                    let name = if transitions.is_empty() && !ticked {
-                        String::new()
+            parse_line(text, self.line_no, self.format).map_or(Parsed::Malformed, Parsed::Record)
+        };
+        self.commit(text, parsed);
+        None
+    }
+
+    /// Charges a line the framing rejected — longer than
+    /// [`MAX_LINE_BYTES`], or not UTF-8 — to the open tenant as a
+    /// malformed data line, and reports it on the wire. The client
+    /// counted it as a data line, so it advances the stream sequence
+    /// like any other; like any other, it is shed without a reply past
+    /// the watermark, and a fenced session drops it silently.
+    fn handle_bad_line(&mut self, message: &str) -> Option<String> {
+        if self.fenced {
+            return None;
+        }
+        self.line_no += 1;
+        if self.tenant.is_none() {
+            return self.error(message);
+        }
+        self.commit("", Parsed::Malformed)
+            .then(|| format!("err {message}\n"))
+    }
+
+    /// Commits one data line under a single hold of the open tenant's
+    /// lock: a fenced session commits nothing, a line past the
+    /// watermark is shed, and anything else lands as a record, a span
+    /// or a parse error. `text` is the line as the wire spelled it,
+    /// which the checkpoint captures when there is a state directory to
+    /// write it to. Returns whether the line was committed.
+    fn commit(&mut self, text: &str, parsed: Parsed) -> bool {
+        let state = self.state;
+        let tenant = self
+            .tenant
+            .as_ref()
+            .expect("a data line needs an open tenant");
+        let mut guard = tenant.lock().expect("tenant lock");
+        if guard.generation != self.generation {
+            let name = guard.name.clone();
+            drop(guard);
+            self.fence(&name);
+            return false;
+        }
+        // Overload shedding: past the watermark the line is dropped
+        // with accounting but without advancing the stream sequence, so
+        // a resuming client retransmits it.
+        if guard.buffered_lines() >= state.max_buffered_lines {
+            guard.shed += 1;
+            Counters::bump(&state.counters.lines_shed);
+            if !guard.overloaded {
+                guard.overloaded = true;
+                let name = guard.name.clone();
+                let detail = format!("buffered={}", guard.buffered_lines());
+                drop(guard);
+                Counters::bump(&state.counters.overloaded_tenants);
+                state.log_event("overload_shed", &name, &detail);
+            }
+            return false;
+        }
+        let capture = state.state_dir.is_some();
+        match parsed {
+            Parsed::Record(record) => {
+                let ticked = if capture {
+                    guard.ingest_record_wire(text, record)
+                } else {
+                    guard.ingest_record(record)
+                };
+                let transitions = guard.take_transitions();
+                let name = if transitions.is_empty() && !ticked {
+                    String::new()
+                } else {
+                    guard.name.clone()
+                };
+                // Checkpoint at tick boundaries: detector state only
+                // changes when a tick closes, so that is the natural
+                // durability cadence. The first tick writes the base
+                // document; every later tick appends a cheap delta
+                // frame to the journal, keeping total write cost
+                // O(stream) instead of O(stream²).
+                let ckpt_err = if ticked {
+                    if guard.checkpoint_due() {
+                        state.write_checkpoint(&mut guard).err()
                     } else {
-                        guard.name.clone()
-                    };
-                    // Checkpoint at tick boundaries: detector state only
-                    // changes when a tick closes, so that is the natural
-                    // durability cadence. The first tick writes the base
-                    // document; every later tick appends a cheap delta
-                    // frame to the journal, keeping total write cost
-                    // O(stream) instead of O(stream²).
-                    let ckpt_err = if ticked {
-                        if guard.checkpoint_due() {
-                            self.state.write_checkpoint(&mut guard).err()
-                        } else {
-                            self.state.append_checkpoint_frame(&mut guard).err()
-                        }
-                    } else {
-                        None
-                    };
-                    drop(guard);
-                    if let Some(e) = ckpt_err {
-                        self.state
-                            .log_event("checkpoint_error", &name, &e.to_string());
+                        state.append_checkpoint_frame(&mut guard).err()
                     }
-                    self.log_transitions(&name, &transitions);
-                    self.stats.records += 1;
-                    Counters::bump(&self.state.counters.records);
+                } else {
                     None
+                };
+                drop(guard);
+                if let Some(e) = ckpt_err {
+                    state.log_event("checkpoint_error", &name, &e.to_string());
                 }
-                Err(e) => self.data_error(&tenant, &e.to_string()),
+                self.log_transitions(&name, &transitions);
+                self.stats.records += 1;
+                Counters::bump(&state.counters.records);
+            }
+            Parsed::Span(span) => {
+                if capture {
+                    guard.ingest_span_wire(text, span);
+                } else {
+                    guard.ingest_span(span);
+                }
+                drop(guard);
+                self.stats.spans += 1;
+                Counters::bump(&state.counters.spans);
+            }
+            Parsed::Malformed => {
+                guard.note_parse_error();
+                drop(guard);
+                self.stats.errors += 1;
+                Counters::bump(&state.counters.parse_errors);
             }
         }
+        true
     }
 
     /// Forwards drained alert transitions to the daemon ops log.
@@ -505,22 +582,6 @@ impl Session<'_> {
                 guard.observe_poll(seconds, poll.lines, records);
             }
         }
-    }
-
-    /// Charges a malformed data line to the tenant and the daemon.
-    fn data_error(&mut self, tenant: &Arc<Mutex<Tenant>>, _message: &str) -> Option<String> {
-        let mut guard = tenant.lock().expect("tenant lock");
-        if guard.generation != self.generation {
-            let name = guard.name.clone();
-            drop(guard);
-            self.fence(&name);
-            return None;
-        }
-        guard.note_parse_error();
-        drop(guard);
-        self.stats.errors += 1;
-        Counters::bump(&self.state.counters.parse_errors);
-        None
     }
 
     /// Counts a protocol error and reports it on the wire.
@@ -580,6 +641,7 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use pad::pipeline::PipelineConfig;
+    use proptest::prelude::*;
 
     /// An in-memory duplex: the session reads a canned script and
     /// writes replies into a buffer.
@@ -614,6 +676,295 @@ mod tests {
 
     fn run_replies(state: &DaemonState, script: &str) -> String {
         run(state, script).1
+    }
+
+    /// A framed line, owned, so the two readers can be compared.
+    #[derive(Clone, PartialEq, Eq)]
+    enum Framed {
+        Eof,
+        Text(String),
+        Oversized,
+        BadUtf8,
+    }
+
+    /// Shows a long line by its length and ends, so a failing case
+    /// stays readable.
+    impl std::fmt::Debug for Framed {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                Framed::Text(text) if text.len() > 40 => {
+                    let head: String = text.chars().take(12).collect();
+                    let tail: String = text.chars().rev().take(12).collect();
+                    let tail: String = tail.chars().rev().collect();
+                    write!(f, "Text({} bytes: {head:?}..{tail:?})", text.len())
+                }
+                Framed::Text(text) => write!(f, "Text({text:?})"),
+                Framed::Eof => write!(f, "Eof"),
+                Framed::Oversized => write!(f, "Oversized"),
+                Framed::BadUtf8 => write!(f, "BadUtf8"),
+            }
+        }
+    }
+
+    impl From<WireLine<'_>> for Framed {
+        fn from(line: WireLine<'_>) -> Framed {
+            match line {
+                WireLine::Eof => Framed::Eof,
+                WireLine::Text(text) => Framed::Text(text.to_string()),
+                WireLine::Oversized => Framed::Oversized,
+                WireLine::BadUtf8 => Framed::BadUtf8,
+            }
+        }
+    }
+
+    /// The reference framing: the reader the session used before it
+    /// framed lines in place, which copies every line into a `String`
+    /// of its own. [`LineReader`] must frame exactly what it frames.
+    struct CopyingLineReader<S: Read> {
+        inner: BufReader<S>,
+        buf: Vec<u8>,
+        discarding: bool,
+    }
+
+    impl<S: Read> CopyingLineReader<S> {
+        fn new(stream: S) -> Self {
+            CopyingLineReader {
+                inner: BufReader::new(stream),
+                buf: Vec::new(),
+                discarding: false,
+            }
+        }
+
+        fn next_line(&mut self) -> io::Result<Framed> {
+            loop {
+                let available = self.inner.fill_buf()?;
+                if available.is_empty() {
+                    self.buf.clear();
+                    self.discarding = false;
+                    return Ok(Framed::Eof);
+                }
+                match available.iter().position(|&b| b == b'\n') {
+                    Some(pos) => {
+                        let take = pos + 1;
+                        if !self.discarding && self.buf.len() + take <= MAX_LINE_BYTES {
+                            self.buf.extend_from_slice(&available[..take]);
+                        } else if !self.discarding {
+                            self.discarding = true;
+                            self.buf.clear();
+                        }
+                        self.inner.consume(take);
+                        return Ok(self.take_line());
+                    }
+                    None => {
+                        let len = available.len();
+                        if !self.discarding {
+                            if self.buf.len() + len > MAX_LINE_BYTES {
+                                self.discarding = true;
+                                self.buf.clear();
+                            } else {
+                                self.buf.extend_from_slice(available);
+                            }
+                        }
+                        self.inner.consume(len);
+                    }
+                }
+            }
+        }
+
+        fn take_line(&mut self) -> Framed {
+            if self.discarding {
+                self.discarding = false;
+                self.buf.clear();
+                return Framed::Oversized;
+            }
+            match String::from_utf8(std::mem::take(&mut self.buf)) {
+                Ok(text) => Framed::Text(text),
+                Err(_) => Framed::BadUtf8,
+            }
+        }
+    }
+
+    /// A read half that delivers its bytes in scheduled chunks, with
+    /// scheduled read errors in between, then reports EOF.
+    struct Chunked {
+        data: io::Cursor<Vec<u8>>,
+        /// `(chunk length, error before the chunk)`, cycled.
+        schedule: Vec<(usize, Option<io::ErrorKind>)>,
+        step: usize,
+        /// Bytes left of the chunk being delivered.
+        left: usize,
+        failed: bool,
+    }
+
+    impl Chunked {
+        fn new(data: Vec<u8>, schedule: Vec<(usize, Option<io::ErrorKind>)>) -> Self {
+            Chunked {
+                data: io::Cursor::new(data),
+                schedule,
+                step: 0,
+                left: 0,
+                failed: false,
+            }
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                let (len, error) = self.schedule[self.step % self.schedule.len()];
+                if let (Some(kind), false) = (error, self.failed) {
+                    self.failed = true;
+                    return Err(kind.into());
+                }
+                self.failed = false;
+                self.step += 1;
+                self.left = len;
+            }
+            let len = buf.len().min(self.left);
+            let n = self.data.read(&mut buf[..len])?;
+            self.left = if n == 0 { 0 } else { self.left - n };
+            Ok(n)
+        }
+    }
+
+    /// Frames `data` delivered on `schedule` to the end, returning the
+    /// lines and how many read errors came out between them.
+    fn frame_with<F: FnMut() -> io::Result<Framed>>(mut next: F) -> (Vec<Framed>, usize) {
+        let (mut lines, mut errors) = (Vec::new(), 0);
+        loop {
+            match next() {
+                Ok(Framed::Eof) => return (lines, errors),
+                Ok(line) => lines.push(line),
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock
+                                | io::ErrorKind::TimedOut
+                                | io::ErrorKind::Interrupted
+                        ),
+                        "{e}"
+                    );
+                    errors += 1;
+                }
+            }
+        }
+    }
+
+    fn frame_in_place(
+        data: &[u8],
+        schedule: &[(usize, Option<io::ErrorKind>)],
+    ) -> (Vec<Framed>, usize) {
+        let mut reader = LineReader::new(Chunked::new(data.to_vec(), schedule.to_vec()));
+        frame_with(|| reader.next_line().map(Framed::from))
+    }
+
+    fn frame_copying(
+        data: &[u8],
+        schedule: &[(usize, Option<io::ErrorKind>)],
+    ) -> (Vec<Framed>, usize) {
+        let mut reader = CopyingLineReader::new(Chunked::new(data.to_vec(), schedule.to_vec()));
+        frame_with(|| reader.next_line())
+    }
+
+    /// Builds a wire stream from segment kinds: arbitrary bytes, short
+    /// JSONL, CRLF and multi-byte lines, invalid UTF-8, and lines of
+    /// `MAX_LINE_BYTES` - 1, exactly and + 1 with their newline; then
+    /// an unterminated tail.
+    fn wire_bytes(kinds: &[usize], bytes: &[u8], tail: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &kind in kinds {
+            match kind {
+                0 => out.extend_from_slice(bytes),
+                1 => out.extend_from_slice(b"{\"t\":100,\"m\":\"rack-00.draw_w\",\"v\":1}\n"),
+                2 => out.extend_from_slice(b"ping\r\n"),
+                3 => out.extend_from_slice("h\u{e9}llo \u{20ac}\u{1f50b}\n".as_bytes()),
+                4 => out.extend_from_slice(b"\xff\xfe\xc3\n"),
+                5 => out.push(b'\n'),
+                6..=8 => {
+                    let len = MAX_LINE_BYTES - 7 + kind;
+                    out.extend(std::iter::repeat_n(b'x', len - 1));
+                    out.push(b'\n');
+                }
+                _ => unreachable!("kind out of range"),
+            }
+        }
+        out.extend(tail.iter().filter(|&&b| b != b'\n'));
+        out
+    }
+
+    const READ_ERRORS: [Option<io::ErrorKind>; 6] = [
+        None,
+        None,
+        None,
+        Some(io::ErrorKind::WouldBlock),
+        Some(io::ErrorKind::TimedOut),
+        Some(io::ErrorKind::Interrupted),
+    ];
+
+    fn schedule(lengths: &[usize], errors: &[usize]) -> Vec<(usize, Option<io::ErrorKind>)> {
+        lengths
+            .iter()
+            .zip(errors.iter().cycle())
+            .map(|(&len, &e)| (len, READ_ERRORS[e]))
+            .collect()
+    }
+
+    #[test]
+    fn framing_matches_the_copying_reader_at_the_line_cap() {
+        // Each capped length alone, after a short line (so it straddles
+        // the read buffer), and twice in a row, read whole and in
+        // small pieces.
+        for kind in 6..=8 {
+            for kinds in [vec![kind], vec![1, kind, 1], vec![kind, kind, 2]] {
+                let data = wire_bytes(&kinds, b"", b"tail");
+                for lengths in [vec![usize::MAX], vec![4096, 1], vec![MAX_LINE_BYTES - 1, 3]] {
+                    let plan = schedule(&lengths, &[0, 3]);
+                    let copying = frame_copying(&data, &plan);
+                    assert_eq!(
+                        frame_in_place(&data, &plan),
+                        copying,
+                        "{kinds:?} {lengths:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_that_fits_the_buffer_is_not_copied() {
+        let data = b"ping\nend\n".to_vec();
+        let mut reader = LineReader::new(io::Cursor::new(data));
+        assert_eq!(reader.next_line().unwrap(), WireLine::Text("ping\n"));
+        let read_at = reader.last_read;
+        assert_eq!(reader.next_line().unwrap(), WireLine::Text("end\n"));
+        assert!(reader.spill.is_empty(), "both lines framed in place");
+        assert_eq!(reader.last_read, read_at, "no read, no clock");
+        assert_eq!(reader.next_line().unwrap(), WireLine::Eof);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place reader frames every stream exactly as the
+        /// copying reader does, however the bytes are split across
+        /// reads and whatever read errors come between them.
+        #[test]
+        fn framing_matches_the_copying_reader(
+            kinds in prop::collection::vec(0usize..9, 0..10),
+            bytes in prop::collection::vec(0u8..=255, 0..48),
+            tail in prop::collection::vec(0u8..=255, 0..8),
+            lengths in prop::collection::vec(1usize..20_000, 1..6),
+            small in prop::collection::vec(1usize..8, 1..6),
+            errors in prop::collection::vec(0usize..READ_ERRORS.len(), 1..6),
+        ) {
+            let data = wire_bytes(&kinds, &bytes, &tail);
+            for lengths in [&lengths, &small] {
+                let plan = schedule(lengths, &errors);
+                let in_place = frame_in_place(&data, &plan);
+                prop_assert_eq!(&in_place, &frame_copying(&data, &plan), "{:?}", kinds);
+            }
+        }
     }
 
     #[test]
@@ -809,6 +1160,76 @@ mod tests {
         let replies = String::from_utf8(script.output).unwrap();
         assert!(replies.contains("err line is not valid UTF-8"), "{replies}");
         assert_eq!(stats.records, 1, "session continues past the bad line");
+    }
+
+    /// The monitor's `ingest.parse_errors_total` counter of `tenant`.
+    fn monitor_parse_errors(state: &DaemonState, tenant: &str) -> u64 {
+        let tenant = state.tenant(tenant).unwrap();
+        let guard = tenant.lock().unwrap();
+        let registry = guard.monitor().expect("monitored").registry();
+        registry.counter(registry.id("ingest.parse_errors_total").unwrap())
+    }
+
+    #[test]
+    fn lines_the_framing_rejects_advance_the_resume_seq() {
+        // A resuming client counts every line it sent as a data line,
+        // so the daemon must too: otherwise the client rewinds by one
+        // and re-sends a record the daemon already holds.
+        let sample = |t: u32| format!("{{\"t\":{t},\"m\":\"rack-00.draw_w\",\"v\":100}}\n");
+        let oversized = format!("{}\n", "x".repeat(MAX_LINE_BYTES + 1));
+        for (bad, reply) in [
+            (
+                oversized.into_bytes(),
+                format!("err line exceeds {MAX_LINE_BYTES} bytes\n"),
+            ),
+            (
+                b"\xff\xfe\n".to_vec(),
+                "err line is not valid UTF-8\n".to_string(),
+            ),
+        ] {
+            let state = DaemonState::new(PipelineConfig::default());
+            let mut bytes = b"hello big\n".to_vec();
+            bytes.extend_from_slice(sample(0).as_bytes());
+            bytes.extend_from_slice(&bad);
+            bytes.extend_from_slice(sample(100).as_bytes());
+            let mut script = Script {
+                input: io::Cursor::new(bytes),
+                output: Vec::new(),
+            };
+            let stats = run_session(&mut script, &state).unwrap();
+            let replies = String::from_utf8(script.output).unwrap();
+            assert_eq!(replies, format!("ok hello big\n{reply}"));
+            assert_eq!((stats.records, stats.errors), (2, 1));
+            assert_eq!(
+                Counters::get(&state.counters.parse_errors),
+                1,
+                "counted once"
+            );
+            {
+                let tenant = state.tenant("big").unwrap();
+                let guard = tenant.lock().unwrap();
+                assert_eq!((guard.seq, guard.parse_errors), (3, 1));
+            }
+            assert_eq!(monitor_parse_errors(&state, "big"), 1);
+            let replies = run_replies(&state, "hello big jsonl resume 3\n");
+            assert_eq!(replies, "ok hello big seq 3\n");
+        }
+    }
+
+    #[test]
+    fn a_fenced_session_commits_no_rejected_line() {
+        let state = DaemonState::new(PipelineConfig::default());
+        let mut stale = raw_session(&state);
+        stale.handle_line("hello t jsonl");
+        let mut fresh = raw_session(&state);
+        fresh.handle_line("hello t jsonl resume 0");
+        assert_eq!(stale.handle_bad_line("line is not valid UTF-8"), None);
+        assert!(stale.fenced);
+        assert_eq!(stale.handle_bad_line("line is not valid UTF-8"), None);
+        let tenant = state.tenant("t").unwrap();
+        let guard = tenant.lock().unwrap();
+        assert_eq!((guard.seq, guard.parse_errors), (0, 0));
+        assert_eq!(Counters::get(&state.counters.parse_errors), 0);
     }
 
     #[test]
