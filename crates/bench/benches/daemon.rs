@@ -281,18 +281,21 @@ fn check_selfobs_overhead(_c: &mut Criterion) {
 }
 
 /// Paired crash-recovery measurement: the checkpoint calls a session
-/// with a `--state-dir` makes over the recorded session — the base
+/// with a `--state-dir` makes over the paper-scale session — the base
 /// document at the first tick boundary, one journal frame at every
 /// later one and the finished frame at `end` — timed call by call,
 /// versus `render_parsed` of the same records, a linear pass that writes
 /// every record back to its wire line. Ingest runs between the calls,
 /// untimed, so neither side moves with the ingest path. The paper-scale
 /// session makes each frame large enough (about 178 records) that the
-/// appends, not the base write, carry the cost. Min-of-rounds each,
-/// interleaved so drift hits both alike. Prints the grep-able ratio
-/// line the CI daemon-suite step records, and fails above 0.5: the
-/// calls read about 0.35 of the render, and each frame written twice
-/// reads about 0.6.
+/// appends, not the base write, carry the cost. The ratio is the median
+/// of 10 rounds, each dividing the calls by the render timed right
+/// after them: the render's speed swings with the host from one run to
+/// the next more than the appends' do, and a ratio of adjacent timings
+/// cancels the swing where a ratio of two minimums does not. Prints the
+/// grep-able ratio line the CI daemon-suite step records, and fails
+/// above 0.5: the calls read 0.32–0.36 of the render on a 2-vCPU VM,
+/// and each frame written twice reads 0.56–0.67.
 fn check_checkpoint_overhead(_c: &mut Criterion) {
     let telemetry = paper_session();
     let records = parse_lossy(&telemetry, Format::Jsonl).records;
@@ -329,17 +332,22 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
     let frames = Counters::get(&state.counters.checkpoint_frames) - frames_before;
     black_box(render_parsed(&records, Format::Jsonl));
     let (mut best_ckpt, mut best_render) = (Duration::MAX, Duration::MAX);
+    let mut ratios = Vec::with_capacity(10);
     for _ in 0..10 {
-        best_ckpt = best_ckpt.min(checkpoint_calls());
+        let ckpt = checkpoint_calls();
         let t = Instant::now();
         black_box(render_parsed(&records, Format::Jsonl));
-        best_render = best_render.min(t.elapsed());
+        let render = t.elapsed();
+        best_ckpt = best_ckpt.min(ckpt);
+        best_render = best_render.min(render);
+        ratios.push(ckpt.as_secs_f64() / render.as_secs_f64());
     }
     let _ = std::fs::remove_dir_all(&state_dir);
-    let ratio = best_ckpt.as_secs_f64() / best_render.as_secs_f64();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = (ratios[4] + ratios[5]) / 2.0;
     println!(
         "daemon_checkpoint_overhead_ratio: {ratio:.3} ({} records, a base write and {frames} \
-         journal frames {:.2?} vs render {:.2?}, min of 10 rounds)",
+         journal frames vs render, median of 10 paired rounds; best {:.2?} vs {:.2?})",
         records.len(),
         best_ckpt,
         best_render
@@ -360,9 +368,9 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
 /// Min-of-rounds each, interleaved with the order swapped every round so
 /// that neither side always finds the heap the other just freed. Prints
 /// the grep-able ratio line the CI daemon-suite step records, and fails
-/// above 1.4, naming the stage: a session that copies every line into
-/// a `String` of its own and takes the tenant's lock twice per line
-/// reads about 1.66.
+/// above 1.5, naming the stage: the session reads 1.06–1.43 on a 2-vCPU
+/// VM, and a session that copies every line into a `String` of its own
+/// and takes the tenant's lock twice per line reads 1.64–2.39.
 fn check_session_overhead(_c: &mut Criterion) {
     let telemetry = paper_session();
     let request = session_request(&telemetry);
@@ -408,9 +416,9 @@ fn check_session_overhead(_c: &mut Criterion) {
         best_session, best_bare
     );
     assert!(
-        ratio <= 1.4,
+        ratio <= 1.5,
         "session stage (framing, classify, tenant lock): run_session costs {ratio:.3}× the \
-         bare per-line calls (gate 1.4)"
+         bare per-line calls (gate 1.5)"
     );
 }
 

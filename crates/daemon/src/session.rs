@@ -679,7 +679,7 @@ mod tests {
     }
 
     /// A framed line, owned, so the two readers can be compared.
-    #[derive(Clone, PartialEq, Eq)]
+    #[derive(PartialEq, Eq)]
     enum Framed {
         Eof,
         Text(String),
