@@ -18,6 +18,8 @@ use std::time::Duration;
 use simkit::telemetry::{is_csv_header, CSV_HEADER};
 use simkit::trace::{is_span_csv_header, SPAN_CSV_HEADER};
 
+use crate::session::rejects_a_data_line;
+
 /// A connected stream socket — TCP, or a Unix socket when the target
 /// is `unix:<path>`.
 #[derive(Debug)]
@@ -210,6 +212,19 @@ fn read_reply_line(conn: &mut Conn) -> io::Result<String> {
         .to_string())
 }
 
+/// Reads replies up to the one that answers `end`. The `err` replies to
+/// data lines the daemon's framing rejected come first, in order, and go
+/// to `replies`: the daemon ingested the stream around those lines.
+fn read_end_reply(conn: &mut Conn, replies: &mut Vec<String>) -> io::Result<String> {
+    loop {
+        let reply = read_reply_line(conn)?;
+        if !rejects_a_data_line(&reply) {
+            return Ok(reply);
+        }
+        replies.push(reply);
+    }
+}
+
 /// Connects and re-attaches to `tenant`'s stream via
 /// `hello <tenant> <format> resume <client_seq>`, returning the
 /// connection and the daemon's acked durable sequence number.
@@ -308,8 +323,10 @@ impl WireData {
 /// write, or reply read) reconnects with `hello … resume`, rewinds to
 /// the daemon's acked sequence number, and re-sends only what the
 /// daemon has not durably consumed. A daemon `err` rejection of the
-/// hello is fatal and returned as `InvalidData` carrying the daemon's
-/// message.
+/// hello or of `end` is fatal and returned as `InvalidData` carrying the
+/// daemon's message. An `err` reply to a data line the daemon's framing
+/// rejected (too long, or not UTF-8) is not: it lands in the returned
+/// replies, in order, ahead of the summary.
 pub fn send_resumable(target: &str, job: &SendJob, opts: &RetryOpts) -> io::Result<Vec<String>> {
     let data = WireData::from_job(job);
     let mut last_err: Option<io::Error> = None;
@@ -334,7 +351,7 @@ pub fn send_resumable(target: &str, job: &SendJob, opts: &RetryOpts) -> io::Resu
         if job.end {
             let summary = writeln!(conn, "end")
                 .and_then(|()| conn.flush())
-                .and_then(|()| read_reply_line(&mut conn));
+                .and_then(|()| read_end_reply(&mut conn, &mut replies));
             match summary {
                 Ok(reply) if reply.starts_with("err ") => {
                     return Err(io::Error::new(io::ErrorKind::InvalidData, reply))

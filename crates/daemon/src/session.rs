@@ -5,7 +5,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use simkit::telemetry::{is_csv_header, parse_line, Format, ParsedRecord};
+use simkit::telemetry::{find_newline, is_csv_header, parse_line, Format, ParsedRecord};
 use simkit::trace::{is_span_csv_header, parse_span_line, ParsedSpan};
 
 use crate::proto::{classify, Control, Line};
@@ -18,6 +18,25 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Retry hint, in milliseconds, sent with a `busy` admission refusal.
 pub const RETRY_AFTER_MS: u64 = 1000;
+
+/// The message of the `err` reply to a line longer than
+/// [`MAX_LINE_BYTES`].
+fn oversized_line() -> String {
+    format!("line exceeds {MAX_LINE_BYTES} bytes")
+}
+
+/// The message of the `err` reply to a line that is not UTF-8.
+const BAD_UTF8_LINE: &str = "line is not valid UTF-8";
+
+/// `true` when `reply` (without its newline) is the `err` a session
+/// sends for a line its framing rejected: longer than [`MAX_LINE_BYTES`],
+/// or not UTF-8. The session counts such a line as a malformed data line
+/// and reads on, so the reply answers a data line, never a control line.
+pub(crate) fn rejects_a_data_line(reply: &str) -> bool {
+    reply
+        .strip_prefix("err ")
+        .is_some_and(|message| message == BAD_UTF8_LINE || message == oversized_line())
+}
 
 /// Which block a CSV session's header most recently opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,27 +202,6 @@ impl<S: Read> LineReader<S> {
     }
 }
 
-/// The index of the first newline in `bytes`, tested eight bytes at a
-/// time: a word XOR eight newlines has a zero byte where `bytes` has a
-/// newline, and the lowest byte the zero-byte test flags is always a
-/// true zero (a borrow only ever spreads upward, into later bytes).
-fn find_newline(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
-    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
-    let mut words = bytes.chunks_exact(8);
-    for (i, word) in words.by_ref().enumerate() {
-        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
-        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
-        if zeros != 0 {
-            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
-        }
-    }
-    let tail = words.remainder();
-    let start = bytes.len() - tail.len();
-    tail.iter().position(|&b| b == b'\n').map(|pos| start + pos)
-}
-
 fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Result<SessionStats> {
     let mut session = Session {
         state,
@@ -234,10 +232,8 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
                 }
                 let reply = match wire {
                     WireLine::Text(line) => session.handle_line(line),
-                    WireLine::Oversized => {
-                        session.handle_bad_line(&format!("line exceeds {MAX_LINE_BYTES} bytes"))
-                    }
-                    WireLine::BadUtf8 => session.handle_bad_line("line is not valid UTF-8"),
+                    WireLine::Oversized => session.handle_bad_line(&oversized_line()),
+                    WireLine::BadUtf8 => session.handle_bad_line(BAD_UTF8_LINE),
                     WireLine::Eof => unreachable!("handled above"),
                 };
                 if let Some(reply) = reply {

@@ -37,8 +37,8 @@ pub mod record;
 pub mod registry;
 
 pub use codec::{
-    is_csv_header, parse, parse_line, parse_lossy, render_parsed, to_csv, to_jsonl, Format,
-    LossyParse, ParseError, ParsedRecord, CSV_HEADER,
+    find_newline, is_csv_header, parse, parse_line, parse_lossy, render_parsed, to_csv, to_jsonl,
+    Format, LossyParse, ParseError, ParsedRecord, CSV_HEADER,
 };
 pub use inspect::{render_prometheus_reports, EventDigest, MetricDigest, TelemetryReport};
 pub use record::{sort_records, EventKind, EventRecord, Record, Sample};
