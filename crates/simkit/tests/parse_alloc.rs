@@ -1,6 +1,8 @@
-//! Parsing a telemetry line allocates only what the parsed record owns:
-//! the name of a sample, the name and source of an event. Keys and
-//! record-type words are matched in place.
+//! The telemetry codec's heap allocations. Parsing a line allocates only
+//! what the parsed record owns: the name of a sample, the name and
+//! source of an event. Keys and record-type words are matched in place.
+//! Rendering a trace allocates per call and per metric, never per
+//! record.
 //!
 //! The counting allocator counts only on the thread that enables it, so
 //! tests running beside each other on other threads cannot disturb a
@@ -10,7 +12,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use simkit::telemetry::{parse_line, Format, ParsedRecord};
+use simkit::telemetry::{
+    parse_line, to_jsonl, EventKind, EventRecord, Format, MetricRegistry, ParsedRecord, Record,
+    Sample,
+};
+use simkit::time::SimTime;
 
 struct CountingAlloc;
 
@@ -201,4 +207,63 @@ fn malformed_lines_keep_their_error_messages() {
         assert_eq!(e.line, 7, "{line:?}");
         assert_eq!(e.message, message, "{format:?} {line:?}");
     }
+}
+
+/// A recording of `ticks` 100 ms ticks: four metrics sampled every tick
+/// with `0`/`1` gauges, small integers and fractions, and an event every
+/// tenth tick.
+fn recording(ticks: u64) -> (MetricRegistry, Vec<Record>) {
+    let mut registry = MetricRegistry::new();
+    let metrics = [
+        registry.register_gauge("rack-00.draw_w"),
+        registry.register_gauge("rack-00.soc"),
+        registry.register_gauge("cluster.detect.fired"),
+        registry.register_counter("rack-00.breaker.trips"),
+    ];
+    let mut records = Vec::new();
+    for tick in 0..ticks {
+        let time = SimTime::from_millis(tick * 100);
+        let values = [
+            1_000.0 + tick as f64 / 3.0,
+            1.0 - tick as f64 * 1e-5,
+            (tick % 2) as f64,
+            (tick / 7) as f64,
+        ];
+        for (&metric, value) in metrics.iter().zip(values) {
+            records.push(Record::Sample(Sample {
+                time,
+                metric,
+                value,
+            }));
+        }
+        if tick % 10 == 3 {
+            records.push(Record::Event(EventRecord {
+                time,
+                kind: EventKind::Shed,
+                source: "rack-00".to_string(),
+                value: 2.0,
+            }));
+        }
+    }
+    (registry, records)
+}
+
+#[test]
+fn rendering_allocates_the_same_for_any_record_count() {
+    let counts: Vec<u64> = [10, 1_000, 20_000]
+        .into_iter()
+        .map(|ticks| {
+            let (registry, records) = recording(ticks);
+            ALLOCATIONS.with(|n| n.set(0));
+            COUNTING.with(|c| c.set(true));
+            let text = black_box(to_jsonl(black_box(&registry), black_box(&records)));
+            COUNTING.with(|c| c.set(false));
+            assert_eq!(text.lines().count(), records.len());
+            ALLOCATIONS.with(Cell::get)
+        })
+        .collect();
+    assert!(
+        counts.windows(2).all(|pair| pair[0] == pair[1]),
+        "allocations per render for 10, 1,000 and 20,000 ticks: {counts:?}"
+    );
 }
