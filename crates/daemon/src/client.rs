@@ -18,6 +18,7 @@ use std::time::Duration;
 use simkit::telemetry::{is_csv_header, CSV_HEADER};
 use simkit::trace::{is_span_csv_header, SPAN_CSV_HEADER};
 
+use crate::proto::{classify, Line};
 use crate::session::rejects_a_data_line;
 
 /// A connected stream socket — TCP, or a Unix socket when the target
@@ -270,24 +271,45 @@ struct WireData {
 }
 
 impl WireData {
-    fn from_job(job: &SendJob) -> WireData {
+    /// Splits the job's texts into data lines.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` naming the first line the daemon would take for a
+    /// control line (`ping`, `end`, `hello …`, `shutdown`, or a malformed
+    /// one): the daemon would answer it in place of the summary and not
+    /// count it, which would throw the resume index off.
+    fn from_job(job: &SendJob) -> io::Result<WireData> {
         let csv = job.format == "csv";
-        let data_lines = |text: &str, header: fn(&str) -> bool| {
-            text.lines()
-                .filter(|l| !(l.trim().is_empty() || csv && header(l)))
-                .map(str::to_string)
-                .collect::<Vec<_>>()
+        let data_lines = |text: &str, what: &str| {
+            let mut lines = Vec::new();
+            for (n, line) in text.lines().enumerate() {
+                if line.trim().is_empty()
+                    || csv && (is_csv_header(line) || is_span_csv_header(line))
+                {
+                    continue;
+                }
+                if let Line::Control(_) | Line::BadControl(_) = classify(line) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "{what} line {} is a control line, not data: {line:?}",
+                            n + 1
+                        ),
+                    ));
+                }
+                lines.push(line.to_string());
+            }
+            Ok(lines)
         };
-        let header_pair = |l: &str| is_csv_header(l) || is_span_csv_header(l);
-        WireData {
+        Ok(WireData {
             csv,
-            telemetry: data_lines(&job.telemetry, header_pair),
-            spans: job
-                .spans
-                .as_deref()
-                .map(|text| data_lines(text, header_pair))
-                .unwrap_or_default(),
-        }
+            telemetry: data_lines(&job.telemetry, "telemetry")?,
+            spans: match &job.spans {
+                Some(text) => data_lines(text, "span")?,
+                None => Vec::new(),
+            },
+        })
     }
 
     fn total(&self) -> u64 {
@@ -326,9 +348,11 @@ impl WireData {
 /// hello or of `end` is fatal and returned as `InvalidData` carrying the
 /// daemon's message. An `err` reply to a data line the daemon's framing
 /// rejected (too long, or not UTF-8) is not: it lands in the returned
-/// replies, in order, ahead of the summary.
+/// replies, in order, ahead of the summary. A line of the job that the
+/// daemon would take for a control line fails the call with
+/// `InvalidInput` before it connects.
 pub fn send_resumable(target: &str, job: &SendJob, opts: &RetryOpts) -> io::Result<Vec<String>> {
-    let data = WireData::from_job(job);
+    let data = WireData::from_job(job)?;
     let mut last_err: Option<io::Error> = None;
     for attempt in 0..opts.max_attempts {
         if attempt > 0 {

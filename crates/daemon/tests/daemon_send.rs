@@ -2,6 +2,8 @@
 //! rejects: such a line draws an `err` reply but leaves the stream open,
 //! so the call still returns the stream's summary, with that reply kept
 //! in order ahead of it. Only an `err` that answers `end` fails the call.
+//! A line the daemon would take for a control line fails it before it
+//! connects.
 
 mod common;
 
@@ -114,4 +116,40 @@ fn an_err_that_answers_end_fails_the_call() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(err.to_string(), "err end without an open session");
     peer.join().expect("scripted daemon");
+}
+
+#[test]
+fn a_control_line_in_the_data_fails_before_connecting() {
+    let daemon = TestDaemon::start("send-control");
+    for word in ["ping", "end", "hello q", "shutdown", "end now"] {
+        let job = SendJob {
+            telemetry: format!("{FIRST}\n{word}\n{LAST}\n"),
+            ..job("p")
+        };
+        let err = send_resumable(&daemon.data_addr, &job, &no_retries())
+            .expect_err("a control line is not data");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{word}");
+        assert_eq!(
+            err.to_string(),
+            format!("telemetry line 2 is a control line, not data: {word:?}")
+        );
+    }
+    let spans = SendJob {
+        spans: Some("ping\n".to_string()),
+        ..job("p")
+    };
+    let err = send_resumable(&daemon.data_addr, &spans, &no_retries())
+        .expect_err("a control line is not span data either");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    // None of those calls reached the daemon: the tenant's stream opens
+    // at sequence 0.
+    let clean = SendJob {
+        telemetry: format!("{FIRST}\n{LAST}\n"),
+        ..job("p")
+    };
+    let replies = send_resumable(&daemon.data_addr, &clean, &no_retries()).expect("clean send");
+    assert_eq!(replies[0], "ok hello p seq 0");
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[1].starts_with('{'), "{replies:?}");
+    daemon.shutdown();
 }
