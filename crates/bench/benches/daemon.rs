@@ -7,10 +7,13 @@
 //! catastrophic regression fails the step outright. The checks after it
 //! each gate one layer against a baseline that layer's work does not
 //! move: self-observability against the bare session, the checkpoint
-//! calls against rendering the same records, the session's framing and
-//! bookkeeping against the bare per-line calls, a `/metrics` digest of a
-//! full-size session against rendering its records, and catching a held
-//! digest up by one scrape interval against digesting the whole session.
+//! calls against the bare file I/O of the bytes they write, the
+//! session's framing and bookkeeping against the bare per-line calls, a
+//! `/metrics` digest of a full-size session against twice the digest of
+//! its first half, and catching a held digest up by one scrape interval
+//! against digesting the whole session. Neither the checkpoint nor the
+//! scrape-digest baseline renders or parses, so a codec change moves
+//! neither.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::detect::DetectConfig;
@@ -22,9 +25,7 @@ use paddaemon::proto::{classify, Line};
 use paddaemon::server::{serve, ServeOptions};
 use paddaemon::session::run_session;
 use paddaemon::state::{Counters, DaemonState, Tenant};
-use simkit::telemetry::{
-    parse_line, parse_lossy, render_parsed, Format, ParsedRecord, TelemetryReport,
-};
+use simkit::telemetry::{parse_line, parse_lossy, Format, ParsedRecord, TelemetryReport};
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::io::{self, Read, Write};
@@ -292,22 +293,49 @@ fn median(mut ratios: Vec<f64>) -> f64 {
     (ratios[mid - 1] + ratios[mid]) / 2.0
 }
 
+/// The base document and the journal frames of one checkpointed run,
+/// read back from its state directory: the base file, and the journal
+/// cut after each frame's `ok frame <n>` commit line. A frame number
+/// seen twice keeps its first copy, so the frames are the bytes each
+/// call meant to write, however often it wrote them.
+fn written_checkpoint(base: &std::path::Path, journal: &std::path::Path) -> (Vec<u8>, Vec<String>) {
+    let base = std::fs::read(base).expect("base checkpoint");
+    let journal = std::fs::read_to_string(journal).expect("checkpoint journal");
+    let (mut frames, mut numbers) = (Vec::new(), std::collections::BTreeSet::new());
+    let mut frame = String::new();
+    for line in journal.split_inclusive('\n') {
+        frame.push_str(line);
+        if let Some(number) = line.strip_prefix("ok frame ") {
+            if numbers.insert(number.trim_end().to_string()) {
+                frames.push(std::mem::take(&mut frame));
+            }
+            frame.clear();
+        }
+    }
+    (base, frames)
+}
+
 /// Paired crash-recovery measurement: the checkpoint calls a session
 /// with a `--state-dir` makes over the paper-scale session — the base
 /// document at the first tick boundary, one journal frame at every
 /// later one and the finished frame at `end` — timed call by call,
-/// versus `render_parsed` of the same records, a linear pass that writes
-/// every record back to its wire line. Ingest runs between the calls,
-/// untimed, so neither side moves with the ingest path. The paper-scale
+/// versus the bare file I/O of the same bytes. The base and every frame
+/// are captured from one checkpointed run, outside the timing, then
+/// written with plain `std::fs` calls in the same state directory:
+/// `write` and `rename` for the base, the journal's removal, and one
+/// `write_all` per frame on an open append handle. Ingest runs between
+/// the calls, untimed, and captures each wire line into the checkpoint
+/// cache, so neither side moves with the ingest path, and neither
+/// renders or parses: a codec change moves neither. What the ratio
+/// shows is what the calls add to the I/O — the meta lines, building
+/// each frame from the cache, and the commit markers. The paper-scale
 /// session makes each frame large enough (about 178 records) that the
 /// appends, not the base write, carry the cost. The ratio is the median
-/// of 10 rounds, each dividing the calls by the render timed right
-/// after them: the render's speed swings with the host from one run to
-/// the next more than the appends' do, and a ratio of adjacent timings
-/// cancels the swing where a ratio of two minimums does not. Prints the
-/// grep-able ratio line the CI daemon-suite step records, and fails
-/// above 0.5: the calls read 0.32–0.36 of the render on a 2-vCPU VM,
-/// and each frame written twice reads 0.56–0.67.
+/// of 10 rounds, each dividing the calls by the bare I/O timed right
+/// after them. Prints the grep-able ratio line the CI daemon-suite step
+/// records, and fails above 1.8: the calls read 1.34–1.63 of the bare
+/// I/O on a 2-vCPU VM over 21 runs each with the renderer before its
+/// byte pushes and after, and each frame written twice reads 2.20–2.45.
 fn check_checkpoint_overhead(_c: &mut Criterion) {
     let telemetry = paper_session();
     let records = parse_lossy(&telemetry, Format::Jsonl).records;
@@ -339,33 +367,60 @@ fn check_checkpoint_overhead(_c: &mut Criterion) {
         checkpoint(&mut guard);
         spent
     };
+    let base_path = state.checkpoint_path("bench").expect("state dir is set");
+    let journal_path = state.journal_path("bench").expect("state dir is set");
     let frames_before = Counters::get(&state.counters.checkpoint_frames);
     black_box(checkpoint_calls());
     let frames = Counters::get(&state.counters.checkpoint_frames) - frames_before;
-    black_box(render_parsed(&records, Format::Jsonl));
-    let (mut best_ckpt, mut best_render) = (Duration::MAX, Duration::MAX);
+    let (base, journal) = written_checkpoint(&base_path, &journal_path);
+    let bytes = base.len() + journal.iter().map(String::len).sum::<usize>();
+    let bare_io = || {
+        let t = Instant::now();
+        let tmp = base_path.with_extension("ckpt.tmp");
+        std::fs::write(&tmp, &base).expect("base write");
+        std::fs::rename(&tmp, &base_path).expect("base rename");
+        match std::fs::remove_file(&journal_path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => panic!("journal removal: {e}"),
+            _ => {}
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&journal_path)
+            .expect("journal open");
+        for frame in &journal {
+            file.write_all(frame.as_bytes()).expect("frame append");
+        }
+        t.elapsed()
+    };
+    black_box(bare_io());
+    let (mut best_ckpt, mut best_io) = (Duration::MAX, Duration::MAX);
     let mut ratios = Vec::with_capacity(10);
     for _ in 0..10 {
         let ckpt = checkpoint_calls();
-        let t = Instant::now();
-        black_box(render_parsed(&records, Format::Jsonl));
-        let render = t.elapsed();
+        let io = bare_io();
         best_ckpt = best_ckpt.min(ckpt);
-        best_render = best_render.min(render);
-        ratios.push(ckpt.as_secs_f64() / render.as_secs_f64());
+        best_io = best_io.min(io);
+        ratios.push(ckpt.as_secs_f64() / io.as_secs_f64());
     }
     let _ = std::fs::remove_dir_all(&state_dir);
     let ratio = median(ratios);
     println!(
         "daemon_checkpoint_overhead_ratio: {ratio:.3} ({} records, a base write and {frames} \
-         journal frames vs render, median of 10 paired rounds; best {:.2?} vs {:.2?})",
+         journal frames vs the bare I/O of their {bytes} bytes, median of 10 paired rounds; \
+         best {:.2?} vs {:.2?})",
         records.len(),
         best_ckpt,
-        best_render
+        best_io
+    );
+    assert_eq!(
+        journal.len() as u64,
+        frames,
+        "one captured frame per append"
     );
     assert!(
-        ratio <= 0.5,
-        "checkpoint overhead ratio {ratio:.3} exceeds 0.5 of rendering the same session's records"
+        ratio <= 1.8,
+        "checkpoint overhead ratio {ratio:.3} exceeds 1.8× the bare I/O of the same bytes"
     );
 }
 
@@ -438,38 +493,52 @@ fn check_session_overhead(_c: &mut Criterion) {
     );
 }
 
-/// Paired scrape-digest measurement: `TelemetryReport::from_records`
-/// over a full-size session's records (what `/metrics` runs under each
-/// tenant's lock) versus `render_parsed` of the same records, a linear
-/// pass that writes every record back to its wire line. Min-of-rounds
-/// each, interleaved so drift hits both alike. Prints the grep-able
-/// ratio line the CI daemon-suite step records, and fails when the
-/// digest costs more than three quarters of the render: a digest that
-/// sorted-inserts each sample into its metric's summary reads above 1.5.
+/// Scrape-digest linearity: `TelemetryReport::from_records` over the
+/// whole paper-scale session (what `/metrics` runs under a finished
+/// tenant's lock) versus twice the digest of its first half. A digest
+/// linear in the record count reads about 1 whatever the codec costs,
+/// since neither side renders or parses. The ratio is the median of 10
+/// paired rounds, the order swapped every round. Prints the grep-able
+/// ratio line the CI daemon-suite step records, and fails above 1.17:
+/// the digest reads 1.01–1.13 on a 2-vCPU VM over 30 runs, and one that
+/// sorted-inserts each sample into its metric's summary (`Summary::push`)
+/// reads 1.21–1.25.
 fn check_scrape_digest_ratio(_c: &mut Criterion) {
     let records = paper_session_records();
-    black_box(render_parsed(&records, Format::Jsonl));
-    black_box(TelemetryReport::from_records(&records));
-    let (mut best_render, mut best_digest) = (Duration::MAX, Duration::MAX);
-    for _ in 0..10 {
+    let half = &records[..records.len() / 2];
+    let digest = |records: &[ParsedRecord]| {
         let t = Instant::now();
-        black_box(render_parsed(&records, Format::Jsonl));
-        best_render = best_render.min(t.elapsed());
-        let t = Instant::now();
-        black_box(TelemetryReport::from_records(&records));
-        best_digest = best_digest.min(t.elapsed());
+        black_box(TelemetryReport::from_records(records));
+        t.elapsed()
+    };
+    black_box(digest(&records));
+    black_box(digest(half));
+    let (mut best_whole, mut best_half) = (Duration::MAX, Duration::MAX);
+    let mut ratios = Vec::with_capacity(10);
+    for round in 0..10 {
+        let (whole, first_half) = if round % 2 == 0 {
+            let whole = digest(&records);
+            (whole, digest(half))
+        } else {
+            let first_half = digest(half);
+            (digest(&records), first_half)
+        };
+        best_whole = best_whole.min(whole);
+        best_half = best_half.min(first_half);
+        ratios.push(whole.as_secs_f64() / (2.0 * first_half.as_secs_f64()));
     }
-    let ratio = best_digest.as_secs_f64() / best_render.as_secs_f64();
+    let ratio = median(ratios);
     println!(
-        "daemon_scrape_digest_ratio: {ratio:.3} ({} records, digest {:.2?} vs render {:.2?}, \
-         min of 10 rounds)",
+        "daemon_scrape_digest_ratio: {ratio:.3} ({} records, whole digest over twice the \
+         first half's, median of 10 paired rounds; best {:.2?} vs {:.2?})",
         records.len(),
-        best_digest,
-        best_render
+        best_whole,
+        best_half
     );
     assert!(
-        ratio <= 0.75,
-        "scrape digest ratio {ratio:.3} exceeds 0.75 of rendering the same session's records"
+        ratio <= 1.17,
+        "scrape digest ratio {ratio:.3} exceeds 1.17: digesting the whole session costs more \
+         than twice digesting its first half"
     );
 }
 
