@@ -107,20 +107,6 @@ impl TwoPhaseAttack {
         }
     }
 
-    /// Sets the performance drop threshold for the side channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `(0, 1]`.
-    pub fn with_capping_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0,1], got {threshold}"
-        );
-        self.capping_threshold = threshold;
-        self
-    }
-
     /// Sets the drain give-up timeout (from a prior autonomy estimate).
     pub fn with_max_drain(mut self, max_drain: SimDuration) -> Self {
         self.max_drain = max_drain;

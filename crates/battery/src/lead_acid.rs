@@ -66,17 +66,6 @@ impl LeadAcidBattery {
         }
     }
 
-    /// Creates a pack with explicit KiBaM parameters.
-    pub fn with_params(capacity: Joules, params: KibamParams) -> Self {
-        let rate_limit = Watts(WattHours::from(capacity).0 * MAX_C_RATE_PER_HOUR);
-        LeadAcidBattery {
-            inner: KibamBattery::new(capacity, params, rate_limit),
-            deepest_soc: 1.0,
-            deep_discharges: 0,
-            was_above_deep: true,
-        }
-    }
-
     /// Sizes the pack to sustain `power` for `duration` from full — the
     /// paper's cabinet spec ("50 seconds under full load").
     pub fn with_autonomy(power: Watts, duration: SimDuration) -> Self {

@@ -1,61 +1,24 @@
-//! One benchmark per paper table/figure: each target runs its experiment
-//! regenerator end-to-end at smoke fidelity, so `cargo bench` exercises
-//! every reproduction path and reports its cost.
+//! One benchmark per paper table/figure: each target runs an entry of
+//! the experiment registry end-to-end at smoke fidelity, so `cargo bench`
+//! exercises every reproduction path and reports its cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pad::experiments::{
-    background, fig05, fig06, fig07, fig08, fig12, fig13, fig14, fig15, fig16, fig17, table1,
-    Fidelity,
-};
+use pad::experiments::{Fidelity, EXPERIMENTS};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn experiments(c: &mut Criterion) {
     let mut group = c.benchmark_group("experiments_smoke");
     // Each iteration is a whole experiment; keep the statistical budget
-    // small so `cargo bench` covers all thirteen in minutes.
+    // small so `cargo bench` covers the registry in minutes.
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
-    group.bench_function("fig01_outage_cost", |b| {
-        b.iter(|| black_box(background::fig01()))
-    });
-    group.bench_function("fig02_survey", |b| {
-        b.iter(|| black_box(background::fig02_render()))
-    });
-    group.bench_function("fig05_soc_stddev", |b| {
-        b.iter(|| black_box(fig05::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig06_two_phase", |b| {
-        b.iter(|| black_box(fig06::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig07_effective_attack", |b| {
-        b.iter(|| black_box(fig07::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig08_attack_stats", |b| {
-        b.iter(|| black_box(fig08::run(Fidelity::Smoke)))
-    });
-    group.bench_function("table1_detection", |b| {
-        b.iter(|| black_box(table1::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig12_traces", |b| {
-        b.iter(|| black_box(fig12::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig13_heatmap", |b| {
-        b.iter(|| black_box(fig13::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig14_shedding", |b| {
-        b.iter(|| black_box(fig14::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig15_survival", |b| {
-        b.iter(|| black_box(fig15::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig16_throughput", |b| {
-        b.iter(|| black_box(fig16::run(Fidelity::Smoke)))
-    });
-    group.bench_function("fig17_cost", |b| {
-        b.iter(|| black_box(fig17::run(Fidelity::Smoke)))
-    });
+    for experiment in EXPERIMENTS {
+        group.bench_function(experiment.name, |b| {
+            b.iter(|| black_box(experiment.reproduce(Fidelity::Smoke, 1)))
+        });
+    }
     group.finish();
 }
 

@@ -11,6 +11,7 @@
 //! padsim detect --replay out/pad.jsonl
 //! padsim --telemetry out/ --trace out/ && padsim incident out/
 //! padsim fault --plan ci-smoke --out faulted/
+//! padsim reproduce all --jobs 2 --out results/
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -24,7 +25,7 @@ use pad::detect::{
     TickVerdict,
 };
 use pad::experiments::detect_rates::{GRACE, LEAD_IN};
-use pad::experiments::{testbed_config, testbed_trace};
+use pad::experiments::{testbed_config, testbed_trace, Fidelity, EXPERIMENTS};
 use pad::fault::{named_plan, DegradedConfig, NAMED_PLANS};
 use pad::mc::{
     counterexample_plan, invariant, mc_schema, render_mc_report_json, render_violation, BrokenMode,
@@ -69,6 +70,7 @@ USAGE:
     padsim fault [--plan <name|file.json>] [FAULT OPTIONS]
     padsim mc [MC OPTIONS]
     padsim perf [PERF OPTIONS]
+    padsim reproduce <name|all> [--smoke] [--jobs <N>] [--out <dir>]
 
 SUBCOMMANDS:
     inspect <file>                          summarize a recorded telemetry trace
@@ -182,6 +184,17 @@ SUBCOMMANDS:
                                             --seed <N> --out <file.json>
                                             --table --baseline <file.json>
                                             --gate <pct> [default: 25]
+    reproduce <name|all>                    regenerate one table or figure of the
+                                            paper's evaluation (or every one, in
+                                            order), banner and body to stdout;
+                                            an unknown name lists the valid
+                                            ones. --smoke runs the reduced
+                                            scale; --jobs fans each sweep across
+                                            workers (output identical for any
+                                            N); --out writes <dir>/<name>.txt
+                                            per experiment instead, as in
+                                            results/. Exits 1 when a premise
+                                            validate_platform asserts fails.
 
 OPTIONS:
     --scheme <conv|ps|pspc|udeb|vdeb|pad|all>  defense scheme   [default: pad]
@@ -298,6 +311,10 @@ fn parse_args() -> Args {
         it.next();
         run_perf(it);
     }
+    if it.peek().map(String::as_str) == Some("reproduce") {
+        it.next();
+        run_reproduce(it);
+    }
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
             it.next()
@@ -305,36 +322,17 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--scheme" => {
-                args.scheme = match value("--scheme").to_lowercase().as_str() {
-                    "conv" => Scheme::Conv,
-                    "ps" => Scheme::Ps,
-                    "pspc" => Scheme::Pspc,
-                    "udeb" => Scheme::UDebOnly,
-                    "vdeb" => Scheme::VDebOnly,
-                    "pad" => Scheme::Pad,
-                    "all" => {
-                        args.all_schemes = true;
-                        Scheme::Pad
-                    }
-                    other => fail(&format!("unknown scheme {other:?}")),
+                let name = value("--scheme");
+                if name.to_lowercase() == "all" {
+                    args.all_schemes = true;
+                    args.scheme = Scheme::Pad;
+                } else {
+                    args.scheme = parse_scheme(&name);
                 }
             }
             "--jobs" => args.jobs = parse_num(&value("--jobs"), "--jobs").max(1),
-            "--style" => {
-                args.style = match value("--style").to_lowercase().as_str() {
-                    "dense" => AttackStyle::Dense,
-                    "sparse" => AttackStyle::Sparse,
-                    other => fail(&format!("unknown style {other:?}")),
-                }
-            }
-            "--class" => {
-                args.class = match value("--class").to_lowercase().as_str() {
-                    "cpu" => VirusClass::CpuIntensive,
-                    "mem" => VirusClass::MemIntensive,
-                    "io" => VirusClass::IoIntensive,
-                    other => fail(&format!("unknown class {other:?}")),
-                }
-            }
+            "--style" => args.style = parse_style(&value("--style")),
+            "--class" => args.class = parse_class(&value("--class")),
             "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
             "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
             "--racks" => args.racks = parse_num(&value("--racks"), "--racks"),
@@ -703,21 +701,8 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
                 );
             }
             "--racks" => racks_override = Some(parse_num(&value("--racks"), "--racks").max(1)),
-            "--style" => {
-                style = match value("--style").to_lowercase().as_str() {
-                    "dense" => AttackStyle::Dense,
-                    "sparse" => AttackStyle::Sparse,
-                    other => fail(&format!("unknown style {other:?}")),
-                }
-            }
-            "--class" => {
-                class = match value("--class").to_lowercase().as_str() {
-                    "cpu" => VirusClass::CpuIntensive,
-                    "mem" => VirusClass::MemIntensive,
-                    "io" => VirusClass::IoIntensive,
-                    other => fail(&format!("unknown class {other:?}")),
-                }
-            }
+            "--style" => style = parse_style(&value("--style")),
+            "--class" => class = parse_class(&value("--class")),
             "--nodes" => nodes = parse_num(&value("--nodes"), "--nodes").max(1),
             "--duration-mins" => {
                 duration_mins = parse_num(&value("--duration-mins"), "--duration-mins") as u64
@@ -918,32 +903,9 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
                 format = Format::from_name(&name)
                     .unwrap_or_else(|| fail(&format!("unknown format {name:?}")));
             }
-            "--scheme" => {
-                args.scheme = match value("--scheme").to_lowercase().as_str() {
-                    "conv" => Scheme::Conv,
-                    "ps" => Scheme::Ps,
-                    "pspc" => Scheme::Pspc,
-                    "udeb" => Scheme::UDebOnly,
-                    "vdeb" => Scheme::VDebOnly,
-                    "pad" => Scheme::Pad,
-                    other => fail(&format!("unknown scheme {other:?}")),
-                }
-            }
-            "--style" => {
-                args.style = match value("--style").to_lowercase().as_str() {
-                    "dense" => AttackStyle::Dense,
-                    "sparse" => AttackStyle::Sparse,
-                    other => fail(&format!("unknown style {other:?}")),
-                }
-            }
-            "--class" => {
-                args.class = match value("--class").to_lowercase().as_str() {
-                    "cpu" => VirusClass::CpuIntensive,
-                    "mem" => VirusClass::MemIntensive,
-                    "io" => VirusClass::IoIntensive,
-                    other => fail(&format!("unknown class {other:?}")),
-                }
-            }
+            "--scheme" => args.scheme = parse_scheme(&value("--scheme")),
+            "--style" => args.style = parse_style(&value("--style")),
+            "--class" => args.class = parse_class(&value("--class")),
             "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
             "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
             "--seed" => args.seed = parse_num(&value("--seed"), "--seed") as u64,
@@ -1758,6 +1720,78 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
+/// `padsim reproduce <name|all>`: run experiments from the registry and
+/// print each one's banner and body, or write `<dir>/<name>.txt` each
+/// with `--out`. Exits 1 once every output is written when a premise an
+/// experiment asserts failed.
+fn run_reproduce(mut it: impl Iterator<Item = String>) -> ! {
+    let names = || {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        format!("experiments: all, {}", names.join(", "))
+    };
+    let mut target: Option<String> = None;
+    let mut fidelity = Fidelity::Paper;
+    let mut jobs = 1usize;
+    let mut out: Option<PathBuf> = None;
+    while let Some(arg) = it.next() {
+        let mut value = |name: &str| {
+            it.next()
+                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
+        };
+        match arg.as_str() {
+            "--smoke" => fidelity = Fidelity::Smoke,
+            "--jobs" => jobs = parse_num(&value("--jobs"), "--jobs").max(1),
+            "--out" => out = Some(PathBuf::from(value("--out"))),
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            other if !other.starts_with('-') && target.is_none() => target = Some(arg),
+            other => fail(&format!(
+                "unknown reproduce argument {other:?}; {}",
+                names()
+            )),
+        }
+    }
+    let selected: Vec<_> = match target.as_deref() {
+        None => fail(&format!(
+            "reproduce requires an experiment name; {}",
+            names()
+        )),
+        Some("all") => EXPERIMENTS.iter().collect(),
+        Some(name) => match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(experiment) => vec![experiment],
+            None => fail(&format!("unknown experiment {name:?}; {}", names())),
+        },
+    };
+    if let Some(dir) = &out {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create {}: {e}", dir.display()));
+        }
+    }
+    let mut failed = Vec::new();
+    for experiment in selected {
+        let run = experiment.reproduce(fidelity, jobs);
+        if !run.passed {
+            failed.push(experiment.name);
+        }
+        match &out {
+            Some(dir) => {
+                let path = dir.join(format!("{}.txt", experiment.name));
+                if let Err(e) = std::fs::write(&path, &run.text) {
+                    fail(&format!("cannot write {}: {e}", path.display()));
+                }
+            }
+            None => print!("{}", run.text),
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!("error: a premise failed in {}", failed.join(", "));
+        std::process::exit(1);
+    }
+    std::process::exit(0);
+}
+
 /// Filename stem for a scheme's trace file (matches the `--scheme` keys).
 fn scheme_key(scheme: Scheme) -> &'static str {
     match scheme {
@@ -1817,6 +1851,32 @@ fn write_trace(dir: &Path, scheme: Scheme, format: Format, dump: &TraceDump) {
         dropped,
         path.display()
     );
+}
+
+/// Parses a `--scheme` key; the main command reads `all` before this.
+fn parse_scheme(text: &str) -> Scheme {
+    let name = text.to_lowercase();
+    Scheme::ALL
+        .into_iter()
+        .find(|&scheme| scheme_key(scheme) == name)
+        .unwrap_or_else(|| fail(&format!("unknown scheme {name:?}")))
+}
+
+fn parse_style(text: &str) -> AttackStyle {
+    match text.to_lowercase().as_str() {
+        "dense" => AttackStyle::Dense,
+        "sparse" => AttackStyle::Sparse,
+        other => fail(&format!("unknown style {other:?}")),
+    }
+}
+
+fn parse_class(text: &str) -> VirusClass {
+    match text.to_lowercase().as_str() {
+        "cpu" => VirusClass::CpuIntensive,
+        "mem" => VirusClass::MemIntensive,
+        "io" => VirusClass::IoIntensive,
+        other => fail(&format!("unknown class {other:?}")),
+    }
 }
 
 fn parse_num(text: &str, flag: &str) -> usize {

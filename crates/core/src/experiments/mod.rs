@@ -6,25 +6,9 @@
 //! [`Fidelity::Smoke`] is a minutes-scale reduction with the same code
 //! path, used by the integration tests.
 //!
-//! | module | reproduces |
-//! |---|---|
-//! | [`background`] | Figures 1–2 (cited survey statistics) |
-//! | [`fig05`] | Figure 5 — SOC stddev, online vs offline charging |
-//! | [`fig06`] | Figure 6 — two-phase attack demonstration |
-//! | [`fig07`] | Figure 7 — failed attempt vs effective attack |
-//! | [`fig08`] | Figure 8 A/B/C — effective-attack counting sweeps |
-//! | [`table1`] | Table I — detection rate vs metering interval |
-//! | [`detect_rates`] | Table I extension — streaming detectors vs metering (not in the paper) |
-//! | [`fig12`] | Figure 12 — collected virus traces (dense/sparse) |
-//! | [`fig13`] | Figure 13 — DEB usage maps, conventional vs PAD |
-//! | [`fig14`] | Figure 14 — load shedding under cluster-wide surges |
-//! | [`fig15`] | Figure 15 — survival time across six schemes |
-//! | [`fig16`] | Figure 16 A/B — throughput under attack |
-//! | [`fig17`] | Figure 17 — µDEB capacity vs cost and survival |
-//! | [`ablation`] | design-choice sweeps (not in the paper) |
-//! | [`validation`] | executable platform premises (§V's validation role) |
-//! | [`recon`] | attacker information yield, PS vs vDEB (§IV.B.1 claim) |
-//! | [`fault_tolerance`] | survival under coordinator faults, watchdog fallback vs frozen plans (not in the paper) |
+//! [`EXPERIMENTS`] lists every experiment once: its name (the
+//! `results/<name>.txt` stem), what it reproduces, and how it runs.
+//! `padsim reproduce <name|all>` runs from it.
 
 pub mod ablation;
 pub mod background;
@@ -80,6 +64,145 @@ impl Fidelity {
         }
     }
 }
+
+/// One experiment `padsim reproduce` runs: a table or figure of the
+/// paper, or an extension beyond it.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The `results/<name>.txt` stem and the banner's first word.
+    pub name: &'static str,
+    /// What the experiment reproduces, as its banner states it.
+    pub reproduces: &'static str,
+    /// Runs the experiment with `jobs` sweep workers and renders its
+    /// body; `false` when one of the premises it asserts failed.
+    run: fn(Fidelity, usize) -> (String, bool),
+}
+
+/// What one experiment printed, and whether its premises held.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reproduction {
+    /// The banner and the body.
+    pub text: String,
+    /// `false` when a premise the experiment asserts failed; only
+    /// `validate_platform` asserts any.
+    pub passed: bool,
+}
+
+impl Experiment {
+    /// Runs the experiment with `jobs` workers. The text is the same for
+    /// any `jobs`, and at paper scale it is `results/<name>.txt`.
+    pub fn reproduce(&self, fidelity: Fidelity, jobs: usize) -> Reproduction {
+        let (body, passed) = (self.run)(fidelity, jobs);
+        let scale = match fidelity {
+            Fidelity::Paper => "paper scale",
+            Fidelity::Smoke => "smoke (reduced)",
+        };
+        Reproduction {
+            text: format!(
+                "=== {} — reproduces {} ===\nfidelity: {scale}\n\n{body}",
+                self.name, self.reproduces
+            ),
+            passed,
+        }
+    }
+}
+
+/// Every experiment, in the order `padsim reproduce all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig01_outage_cost",
+        reproduces: "Figure 1 (Ponemon cost CDF)",
+        run: |_, _| (background::fig01().render(), true),
+    },
+    Experiment {
+        name: "fig02_survey",
+        reproduces: "Figure 2 (SANS adoption survey)",
+        run: |_, _| (background::fig02_render(), true),
+    },
+    Experiment {
+        name: "fig05_soc_stddev",
+        reproduces: "Figure 5 (battery unevenness)",
+        run: |f, _| (fig05::run(f).render(), true),
+    },
+    Experiment {
+        name: "fig06_two_phase",
+        reproduces: "Figure 6 (two-phase attack demo)",
+        run: |f, _| (fig06::run(f).render(), true),
+    },
+    Experiment {
+        name: "fig07_effective_attack",
+        reproduces: "Figure 7 (effective attack demo)",
+        run: |f, _| (fig07::run(f).render(), true),
+    },
+    Experiment {
+        name: "fig08_attack_stats",
+        reproduces: "Figure 8 A/B/C (attack statistics)",
+        run: |f, jobs| (fig08::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "table1_detection",
+        reproduces: "Table I (detection rates)",
+        run: |f, jobs| (table1::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "detect_rates",
+        reproduces: "Table I extension (detector bank)",
+        run: |f, jobs| (detect_rates::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig12_traces",
+        reproduces: "Figure 12 (collected traces)",
+        run: |f, jobs| (fig12::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig13_heatmap",
+        reproduces: "Figure 13 (DEB usage maps)",
+        run: |f, jobs| (fig13::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig14_shedding",
+        reproduces: "Figure 14 (load shedding)",
+        run: |f, jobs| (fig14::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig15_survival",
+        reproduces: "Figure 15 (survival time)",
+        run: |f, jobs| (fig15::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig16_throughput",
+        reproduces: "Figure 16 A/B (throughput)",
+        run: |f, jobs| (fig16::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "fig17_cost",
+        reproduces: "Figure 17 (cost efficiency)",
+        run: |f, jobs| (fig17::run_with_jobs(f, jobs).render(), true),
+    },
+    Experiment {
+        name: "ablations",
+        reproduces: "design-choice sensitivity (beyond the paper)",
+        run: |f, jobs| (ablation::run_all_with_jobs(f, jobs), true),
+    },
+    Experiment {
+        name: "validate_platform",
+        reproduces: "§V platform validation",
+        run: |f, _| {
+            let checks = validation::run(f);
+            (validation::render(&checks), checks.iter().all(|c| c.passed))
+        },
+    },
+    Experiment {
+        name: "recon_value",
+        reproduces: "§IV.B.1 recon-noise claim",
+        run: |f, _| (recon::render(&recon::run(f)), true),
+    },
+    Experiment {
+        name: "fault_tolerance",
+        reproduces: "watchdog fallback vs frozen plans (robustness extension)",
+        run: |f, jobs| (fault_tolerance::run_with_jobs(f, jobs).render(), true),
+    },
+];
 
 /// When the survival-family attacks begin: 11:00 on day 2, as the diurnal
 /// load is climbing toward the afternoon peak — the attacker "waits for

@@ -294,22 +294,22 @@ struct Scenario {
 
 /// Builds the scenario set for a trace of `bytes` bytes / `lines` data
 /// lines.
-fn scenarios(seed: u64, bytes: u64, lines: u64) -> Vec<Scenario> {
+fn scenarios(bytes: u64, lines: u64) -> Vec<Scenario> {
     vec![
         Scenario {
-            plan: ChaosPlan::new("kill_restart", seed).with_kill_at_line(lines / 2),
+            plan: ChaosPlan::new("kill_restart").with_kill_at_line(lines / 2),
             format: Format::Jsonl,
             smoke: true,
         },
         Scenario {
-            plan: ChaosPlan::new("cut_mid_stream", seed).with(WireFault::CutAt {
+            plan: ChaosPlan::new("cut_mid_stream").with(WireFault::CutAt {
                 offset: bytes * 2 / 5,
             }),
             format: Format::Jsonl,
             smoke: true,
         },
         Scenario {
-            plan: ChaosPlan::new("stall_chunk", seed)
+            plan: ChaosPlan::new("stall_chunk")
                 .with(WireFault::StallAt {
                     offset: bytes / 3,
                     ms: 20,
@@ -319,17 +319,17 @@ fn scenarios(seed: u64, bytes: u64, lines: u64) -> Vec<Scenario> {
             smoke: true,
         },
         Scenario {
-            plan: ChaosPlan::new("tiny_chunks", seed).with(WireFault::Chunk { max_bytes: 5 }),
+            plan: ChaosPlan::new("tiny_chunks").with(WireFault::Chunk { max_bytes: 5 }),
             format: Format::Jsonl,
             smoke: true,
         },
         Scenario {
-            plan: ChaosPlan::new("csv_cut", seed).with(WireFault::CutAt { offset: bytes / 2 }),
+            plan: ChaosPlan::new("csv_cut").with(WireFault::CutAt { offset: bytes / 2 }),
             format: Format::Csv,
             smoke: false,
         },
         Scenario {
-            plan: ChaosPlan::new("lossy_garble", seed).with(WireFault::GarbleLine {
+            plan: ChaosPlan::new("lossy_garble").with(WireFault::GarbleLine {
                 index: 1 + lines / 3,
             }),
             format: Format::Jsonl,
@@ -481,7 +481,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> io::Result<ChaosReport> {
     let jsonl = chaos_trace(opts.seed, 240, 2);
     let lines = jsonl.lines().count() as u64;
     let mut report = ChaosReport::default();
-    for scenario in scenarios(opts.seed, jsonl.len() as u64, lines) {
+    for scenario in scenarios(jsonl.len() as u64, lines) {
         if opts.ci_smoke && !scenario.smoke {
             continue;
         }
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn scenario_set_covers_kill_faults_and_formats() {
-        let all = scenarios(1, 20_000, 400);
+        let all = scenarios(20_000, 400);
         assert_eq!(all.len(), 6);
         let smoke: Vec<&str> = all
             .iter()

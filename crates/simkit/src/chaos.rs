@@ -1,4 +1,4 @@
-//! Wire-level chaos: seeded byte/line fault plans for a TCP stream and
+//! Wire-level chaos: byte/line fault plans for a TCP stream and
 //! an in-process fault-injecting proxy.
 //!
 //! Where [`fault`](crate::fault) perturbs the *simulated world* (sensor
@@ -6,32 +6,31 @@
 //! live telemetry daemon ingests from: connections cut at arbitrary
 //! byte offsets, stalled mid-line, writes fragmented into tiny chunks,
 //! lines duplicated or garbled in flight. A [`ChaosPlan`] is the pure
-//! data description of one such torture schedule — seeded, validated,
-//! and JSON round-trippable exactly like a
-//! [`FaultPlan`](crate::fault::FaultPlan) — and a [`FaultProxy`] is the
-//! in-process TCP proxy that executes it between a client and an
-//! upstream server.
+//! data description of one such torture schedule, built in code by the
+//! harness that runs it, and a [`FaultProxy`] is the in-process TCP
+//! proxy that executes it between a client and an upstream server.
 //!
 //! # Determinism contract
 //!
 //! A plan is pure data: every offset, index and chunk size is fixed at
-//! plan-build time (seeded generation uses [`RngStream`], so the same
-//! seed yields the same plan bytes). The proxy applies each fault **at
-//! most once per proxy lifetime**: a `cut_at` severs the first
-//! connection that reaches its byte offset, and the client's retry
-//! connection then passes unharmed — which is what lets a
-//! reconnect-and-resume client make progress under any plan.
+//! plan-build time. The proxy applies each fault **at most once per
+//! proxy lifetime**: a `CutAt` severs the first connection that reaches
+//! its byte offset, and the client's retry connection then passes
+//! unharmed — which is what lets a reconnect-and-resume client make
+//! progress under any plan.
 //!
 //! # Example
 //!
 //! ```
 //! use simkit::chaos::{ChaosPlan, WireFault};
 //!
-//! let plan = ChaosPlan::new("smoke", 7)
+//! let plan = ChaosPlan::new("smoke")
 //!     .with(WireFault::CutAt { offset: 4096 })
 //!     .with(WireFault::Chunk { max_bytes: 17 });
-//! let json = plan.to_json();
-//! assert_eq!(ChaosPlan::from_json(&json).unwrap(), plan);
+//! assert_eq!(plan.faults().len(), 2);
+//! // A resuming client re-sends what a cut lost; a garbled line is gone.
+//! assert!(plan.is_lossless());
+//! assert!(!plan.with(WireFault::GarbleLine { index: 3 }).is_lossless());
 //! ```
 
 use std::io::{Read, Write};
@@ -40,9 +39,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-use crate::jsonio::{Json, JsonParser, ObjFields};
-use crate::rng::RngStream;
 
 /// One transport-level fault in a [`ChaosPlan`].
 ///
@@ -88,30 +84,6 @@ pub enum WireFault {
 }
 
 impl WireFault {
-    /// Stable wire name of the fault kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFault::CutAt { .. } => "cut_at",
-            WireFault::StallAt { .. } => "stall_at",
-            WireFault::Chunk { .. } => "chunk",
-            WireFault::DuplicateLine { .. } => "duplicate_line",
-            WireFault::GarbleLine { .. } => "garble_line",
-        }
-    }
-
-    /// Validates the fault's parameters.
-    pub fn validate(self) -> Result<(), String> {
-        match self {
-            WireFault::Chunk { max_bytes: 0 } => {
-                Err("chunk max_bytes must be at least 1".to_string())
-            }
-            WireFault::StallAt { ms, .. } if ms > 60_000 => {
-                Err("stall_at ms must be at most 60000".to_string())
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// `true` for faults that leave the forwarded byte stream
     /// semantically intact (an ingest protected by checkpoint/resume
     /// must produce byte-identical outputs under them).
@@ -123,35 +95,28 @@ impl WireFault {
     }
 }
 
-/// A named, seeded schedule of [`WireFault`]s.
+/// A named schedule of [`WireFault`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     name: String,
-    seed: u64,
     kill_at_line: Option<u64>,
     faults: Vec<WireFault>,
 }
 
 impl ChaosPlan {
     /// Creates an empty plan.
-    pub fn new(name: impl Into<String>, seed: u64) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         ChaosPlan {
             name: name.into(),
-            seed,
             kill_at_line: None,
             faults: Vec::new(),
         }
     }
 
-    /// Builder-style [`push`](ChaosPlan::push).
-    pub fn with(mut self, fault: WireFault) -> Self {
-        self.push(fault);
-        self
-    }
-
     /// Appends a fault.
-    pub fn push(&mut self, fault: WireFault) {
+    pub fn with(mut self, fault: WireFault) -> Self {
         self.faults.push(fault);
+        self
     }
 
     /// Schedules a harness-level daemon kill-and-restart once the
@@ -166,11 +131,6 @@ impl ChaosPlan {
     /// The plan's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The seed the plan was generated from (or tagged with).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The harness-level kill point, if any.
@@ -188,123 +148,6 @@ impl ChaosPlan {
     pub fn is_lossless(&self) -> bool {
         self.faults.iter().all(|f| f.is_lossless())
     }
-
-    /// Validates every fault, reporting the first error with its index.
-    pub fn validate(&self) -> Result<(), String> {
-        for (i, fault) in self.faults.iter().enumerate() {
-            fault.validate().map_err(|e| format!("fault {i}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Generates a deterministic mixed plan for a stream of roughly
-    /// `approx_bytes`/`approx_lines`: one mid-stream cut, one stall,
-    /// chunked writes, and (when `lossy`) one duplicated and one
-    /// garbled line. Same seed, same plan.
-    pub fn seeded(
-        name: impl Into<String>,
-        seed: u64,
-        approx_bytes: u64,
-        approx_lines: u64,
-        lossy: bool,
-    ) -> ChaosPlan {
-        let mut rng = RngStream::new(seed).fork("chaos");
-        let span = approx_bytes.max(16) as f64;
-        let lines = approx_lines.max(4) as f64;
-        let mut plan = ChaosPlan::new(name, seed)
-            .with(WireFault::CutAt {
-                offset: rng.uniform(0.2 * span, 0.8 * span) as u64,
-            })
-            .with(WireFault::StallAt {
-                offset: rng.uniform(0.1 * span, 0.9 * span) as u64,
-                ms: rng.uniform(5.0, 40.0) as u64,
-            })
-            .with(WireFault::Chunk {
-                max_bytes: rng.uniform(3.0, 64.0) as u64,
-            });
-        if lossy {
-            plan = plan
-                .with(WireFault::DuplicateLine {
-                    index: rng.uniform(0.1 * lines, 0.9 * lines) as u64,
-                })
-                .with(WireFault::GarbleLine {
-                    index: rng.uniform(0.1 * lines, 0.9 * lines) as u64,
-                });
-        }
-        plan
-    }
-
-    /// Serializes the plan to its canonical single-line JSON form.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"name\":\"{}\",\"seed\":{}", self.name, self.seed);
-        if let Some(line) = self.kill_at_line {
-            let _ = write!(out, ",\"kill_at_line\":{line}");
-        }
-        out.push_str(",\"faults\":[");
-        for (i, fault) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"kind\":\"{}\"", fault.name());
-            match *fault {
-                WireFault::CutAt { offset } => {
-                    let _ = write!(out, ",\"offset\":{offset}");
-                }
-                WireFault::StallAt { offset, ms } => {
-                    let _ = write!(out, ",\"offset\":{offset},\"ms\":{ms}");
-                }
-                WireFault::Chunk { max_bytes } => {
-                    let _ = write!(out, ",\"max_bytes\":{max_bytes}");
-                }
-                WireFault::DuplicateLine { index } | WireFault::GarbleLine { index } => {
-                    let _ = write!(out, ",\"index\":{index}");
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a plan from the JSON form produced by
-    /// [`ChaosPlan::to_json`] (whitespace-tolerant) and validates it.
-    pub fn from_json(text: &str) -> Result<ChaosPlan, String> {
-        let value = JsonParser::parse_document(text)?;
-        let obj = value.as_object("plan")?;
-        let mut plan = ChaosPlan::new(obj.str_field("name")?.to_string(), obj.u64_field("seed")?);
-        plan.kill_at_line = obj.opt_u64_field("kill_at_line")?;
-        for (i, item) in obj.arr_field("faults")?.iter().enumerate() {
-            let fault = parse_fault(item).map_err(|e| format!("fault {i}: {e}"))?;
-            plan.push(fault);
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-}
-
-fn parse_fault(value: &Json) -> Result<WireFault, String> {
-    let obj = value.as_object("fault")?;
-    Ok(match obj.str_field("kind")? {
-        "cut_at" => WireFault::CutAt {
-            offset: obj.u64_field("offset")?,
-        },
-        "stall_at" => WireFault::StallAt {
-            offset: obj.u64_field("offset")?,
-            ms: obj.u64_field("ms")?,
-        },
-        "chunk" => WireFault::Chunk {
-            max_bytes: obj.u64_field("max_bytes")?,
-        },
-        "duplicate_line" => WireFault::DuplicateLine {
-            index: obj.u64_field("index")?,
-        },
-        "garble_line" => WireFault::GarbleLine {
-            index: obj.u64_field("index")?,
-        },
-        other => return Err(format!("unknown fault kind {other:?}")),
-    })
 }
 
 /// Shared one-shot bookkeeping: which plan faults have already fired.
@@ -566,49 +409,6 @@ mod tests {
     use super::*;
     use std::io::BufRead;
 
-    #[test]
-    fn plan_round_trips_through_json() {
-        let plan = ChaosPlan::new("torture", 42)
-            .with(WireFault::CutAt { offset: 1000 })
-            .with(WireFault::StallAt {
-                offset: 2000,
-                ms: 10,
-            })
-            .with(WireFault::Chunk { max_bytes: 7 })
-            .with(WireFault::DuplicateLine { index: 3 })
-            .with(WireFault::GarbleLine { index: 5 })
-            .with_kill_at_line(100);
-        let json = plan.to_json();
-        assert_eq!(ChaosPlan::from_json(&json).unwrap(), plan);
-        assert!(!plan.is_lossless());
-        assert!(ChaosPlan::new("clean", 1)
-            .with(WireFault::CutAt { offset: 9 })
-            .is_lossless());
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let a = ChaosPlan::seeded("s", 9, 10_000, 200, true);
-        let b = ChaosPlan::seeded("s", 9, 10_000, 200, true);
-        assert_eq!(a, b);
-        assert_eq!(a.faults().len(), 5);
-        a.validate().unwrap();
-        let c = ChaosPlan::seeded("s", 10, 10_000, 200, true);
-        assert_ne!(a.to_json(), c.to_json(), "different seeds differ");
-    }
-
-    #[test]
-    fn plan_rejects_bad_parameters() {
-        assert!(ChaosPlan::new("bad", 0)
-            .with(WireFault::Chunk { max_bytes: 0 })
-            .validate()
-            .is_err());
-        assert!(ChaosPlan::from_json(
-            "{\"name\":\"x\",\"seed\":1,\"faults\":[{\"kind\":\"nope\"}]}"
-        )
-        .is_err());
-    }
-
     /// Upstream that records everything it reads and echoes `done\n`
     /// when the client half-closes.
     fn sink_upstream() -> (SocketAddr, std::sync::mpsc::Receiver<Vec<u8>>) {
@@ -632,7 +432,7 @@ mod tests {
     #[test]
     fn clean_plan_forwards_bytes_and_replies_untouched() {
         let (upstream, rx) = sink_upstream();
-        let proxy = FaultProxy::start(upstream, &ChaosPlan::new("clean", 0)).unwrap();
+        let proxy = FaultProxy::start(upstream, &ChaosPlan::new("clean")).unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         client.write_all(b"alpha\nbeta\n").unwrap();
         client.shutdown(Shutdown::Write).unwrap();
@@ -648,9 +448,10 @@ mod tests {
     #[test]
     fn garble_and_duplicate_target_exact_lines_once() {
         let (upstream, rx) = sink_upstream();
-        let plan = ChaosPlan::new("lossy", 0)
+        let plan = ChaosPlan::new("lossy")
             .with(WireFault::GarbleLine { index: 1 })
             .with(WireFault::DuplicateLine { index: 2 });
+        assert!(!plan.is_lossless());
         let proxy = FaultProxy::start(upstream, &plan).unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         client.write_all(b"a\nbb\nccc\ndddd\n").unwrap();
@@ -667,7 +468,8 @@ mod tests {
     #[test]
     fn cut_severs_at_the_exact_byte_offset_once() {
         let (upstream, rx) = sink_upstream();
-        let plan = ChaosPlan::new("cut", 0).with(WireFault::CutAt { offset: 4 });
+        let plan = ChaosPlan::new("cut").with(WireFault::CutAt { offset: 4 });
+        assert!(plan.is_lossless());
         let proxy = FaultProxy::start(upstream, &plan).unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         // Writes may or may not error depending on timing; the upstream
@@ -687,7 +489,7 @@ mod tests {
     #[test]
     fn chunking_preserves_content() {
         let (upstream, rx) = sink_upstream();
-        let plan = ChaosPlan::new("chunk", 0).with(WireFault::Chunk { max_bytes: 3 });
+        let plan = ChaosPlan::new("chunk").with(WireFault::Chunk { max_bytes: 3 });
         let proxy = FaultProxy::start(upstream, &plan).unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         let payload = b"the quick brown fox jumps over the lazy dog\n".repeat(20);

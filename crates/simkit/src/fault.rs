@@ -130,17 +130,6 @@ impl FaultKind {
         }
     }
 
-    /// `true` for kinds that draw random numbers while active.
-    pub fn is_stochastic(self) -> bool {
-        matches!(
-            self,
-            FaultKind::SensorNoise { .. }
-                | FaultKind::SensorDropout { .. }
-                | FaultKind::MsgLoss { .. }
-                | FaultKind::MsgReorder { .. }
-        )
-    }
-
     /// Checks the kind's parameters for validity.
     pub fn validate(self) -> Result<(), String> {
         match self {

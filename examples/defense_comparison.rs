@@ -3,7 +3,7 @@
 //! A reduced-scale version of the paper's Figure 15: survival time from
 //! attack start to the first overload, for Conv / PS / PSPC / uDEB /
 //! vDEB / PAD. Run the full-scale version with
-//! `cargo run --release -p pad-bench --bin fig15_survival`.
+//! `cargo run --release --bin padsim -- reproduce fig15_survival`.
 //!
 //! Run with: `cargo run --release --example defense_comparison`
 
@@ -16,7 +16,7 @@ use simkit::time::SimDuration;
 fn main() {
     let fidelity = Fidelity::Smoke;
     println!("== Survival under a dense CPU-intensive power virus ==");
-    println!("(paper-scale cluster, reduced horizon; see pad-bench for the full figure)\n");
+    println!("(paper-scale cluster, reduced horizon; `padsim reproduce fig15_survival` runs the full figure)\n");
     let mut conv_survival = None;
     for scheme in Scheme::ALL {
         let mut sim = warmed_survival_sim(scheme, 1, fidelity);

@@ -56,6 +56,6 @@ fn main() {
     }
     println!("\nPAD = vDEB battery pooling + uDEB super-capacitors + 3-level policy.");
     println!(
-        "See `cargo run --release -p pad-bench --bin fig15_survival` for the full paper figure."
+        "See `cargo run --release --bin padsim -- reproduce fig15_survival` for the full paper figure."
     );
 }

@@ -1,5 +1,5 @@
-//! Smoke-runs every experiment regenerator end-to-end (the same code the
-//! pad-bench binaries call at Paper fidelity), asserting each produces
+//! Smoke-runs the experiments end-to-end (the same code
+//! `padsim reproduce` runs at Paper fidelity), asserting each produces
 //! well-formed output and its headline shape.
 
 use pad::experiments::{
