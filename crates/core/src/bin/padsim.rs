@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use attack::scenario::{AttackScenario, AttackStyle};
 use attack::virus::VirusClass;
+use pad::cli::Flags;
 use pad::detect::{
     confusion, spike_detection_rate, spike_latencies, threshold_roc, DetectConfig, SimDetectors,
     TickVerdict,
@@ -38,7 +39,7 @@ use pad::sim::{ClusterSim, EmergencyAction, SimConfig};
 use pad::sweep::{AttackSpec, ConfigSweep, SurvivalCase, Victim};
 use powerinfra::server::ServerSpec;
 use powerinfra::topology::{ClusterTopology, RackId};
-use simkit::fault::FaultPlan;
+use simkit::fault::{FaultPlan, FaultTarget};
 use simkit::heatmap::Heatmap;
 use simkit::mc::{Bounds, Checker, McReport, Strategy, Violation};
 use simkit::table::Table;
@@ -48,6 +49,7 @@ use simkit::telemetry::TelemetryDump;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{parse_spans, render_report_json, render_timeline, TraceDump};
 use workload::synth::SynthConfig;
+use workload::trace::ClusterTrace;
 
 /// Ring capacity backing `--telemetry`: enough for ~45 minutes of a
 /// 22-rack cluster at 100 ms steps before the ring starts evicting.
@@ -284,45 +286,12 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args(mut flags: Flags) -> Args {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1).peekable();
-    if it.peek().map(String::as_str) == Some("inspect") {
-        it.next();
-        run_inspect(it);
-    }
-    if it.peek().map(String::as_str) == Some("incident") {
-        it.next();
-        run_incident(it);
-    }
-    if it.peek().map(String::as_str) == Some("detect") {
-        it.next();
-        run_detect(it);
-    }
-    if it.peek().map(String::as_str) == Some("fault") {
-        it.next();
-        run_fault(it);
-    }
-    if it.peek().map(String::as_str) == Some("mc") {
-        it.next();
-        run_mc(it);
-    }
-    if it.peek().map(String::as_str) == Some("perf") {
-        it.next();
-        run_perf(it);
-    }
-    if it.peek().map(String::as_str) == Some("reproduce") {
-        it.next();
-        run_reproduce(it);
-    }
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--scheme" => {
-                let name = value("--scheme");
+                let name = flags.value();
                 if name.to_lowercase() == "all" {
                     args.all_schemes = true;
                     args.scheme = Scheme::Pad;
@@ -330,43 +299,34 @@ fn parse_args() -> Args {
                     args.scheme = parse_scheme(&name);
                 }
             }
-            "--jobs" => args.jobs = parse_num(&value("--jobs"), "--jobs").max(1),
-            "--style" => args.style = parse_style(&value("--style")),
-            "--class" => args.class = parse_class(&value("--class")),
-            "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
-            "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
-            "--racks" => args.racks = parse_num(&value("--racks"), "--racks"),
-            "--servers" => args.servers = parse_num(&value("--servers"), "--servers"),
-            "--mean-util" => args.mean_util = parse_f64(&value("--mean-util"), "--mean-util"),
-            "--budget" => args.budget = parse_f64(&value("--budget"), "--budget"),
+            "--jobs" => args.jobs = flags.parse::<usize>("an integer").max(1),
+            "--style" => args.style = parse_style(&flags.value()),
+            "--class" => args.class = parse_class(&flags.value()),
+            "--nodes" => args.nodes = flags.parse("an integer"),
+            "--victims" => args.victims = flags.parse("an integer"),
+            "--racks" => args.racks = flags.parse("an integer"),
+            "--servers" => args.servers = flags.parse("an integer"),
+            "--mean-util" => args.mean_util = flags.parse("a number"),
+            "--budget" => args.budget = flags.parse("a number"),
             "--action" => {
-                args.action = match value("--action").to_lowercase().as_str() {
+                args.action = match flags.value().to_lowercase().as_str() {
                     "shed" => EmergencyAction::Shed,
                     "migrate" => EmergencyAction::Migrate,
                     other => fail(&format!("unknown action {other:?}")),
                 }
             }
-            "--duration-mins" => {
-                args.duration_mins = parse_num(&value("--duration-mins"), "--duration-mins") as u64
-            }
-            "--attack-at-mins" => {
-                args.attack_at_mins =
-                    parse_num(&value("--attack-at-mins"), "--attack-at-mins") as u64
-            }
-            "--seed" => args.seed = parse_num(&value("--seed"), "--seed") as u64,
+            "--duration-mins" => args.duration_mins = flags.parse("an integer"),
+            "--attack-at-mins" => args.attack_at_mins = flags.parse("an integer"),
+            "--seed" => args.seed = flags.parse("an integer"),
             "--escalate" => args.escalate = true,
             "--soc-map" => args.soc_map = true,
             "--log" => args.log = true,
-            "--telemetry" => args.telemetry = Some(PathBuf::from(value("--telemetry"))),
-            "--trace" => args.trace = Some(PathBuf::from(value("--trace"))),
+            "--telemetry" => args.telemetry = Some(PathBuf::from(flags.value())),
+            "--trace" => args.trace = Some(PathBuf::from(flags.value())),
             "--telemetry-format" => {
-                let name = value("--telemetry-format");
+                let name = flags.value();
                 args.telemetry_format = Format::from_name(&name)
                     .unwrap_or_else(|| fail(&format!("unknown telemetry format {name:?}")));
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
             }
             other => fail(&format!("unknown flag {other:?}")),
         }
@@ -380,13 +340,13 @@ fn parse_args() -> Args {
 /// Prometheus text exposition (`--prom`), or (with `--names`) the bare
 /// metric-name list — the latter is what CI diffs against the
 /// checked-in schema.
-fn run_inspect(mut it: impl Iterator<Item = String>) -> ! {
+fn run_inspect(mut flags: Flags) -> ! {
     let mut path: Option<PathBuf> = None;
     let mut names_only = false;
     let mut prom = false;
     let mut alerts: Option<String> = None;
     let mut format: Option<Format> = None;
-    while let Some(arg) = it.next() {
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--names" => names_only = true,
             "--prom" => prom = true,
@@ -395,43 +355,20 @@ fn run_inspect(mut it: impl Iterator<Item = String>) -> ! {
                 std::process::exit(0);
             }
             "--alerts" => {
-                alerts = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--alerts requires a rules file (or `default`)")),
-                );
+                alerts = Some(flags.require("--alerts requires a rules file (or `default`)"))
             }
-            "--format" => {
-                let name = it
-                    .next()
-                    .unwrap_or_else(|| fail("--format requires a value"));
-                format = Some(
-                    Format::from_name(&name)
-                        .unwrap_or_else(|| fail(&format!("unknown format {name:?}"))),
-                );
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--format" => format = Some(parse_format(&flags.value())),
             other if !other.starts_with('-') && path.is_none() => path = Some(PathBuf::from(other)),
             other => fail(&format!("unknown inspect argument {other:?}")),
         }
     }
     let path = path.unwrap_or_else(|| fail("inspect requires a trace file path"));
-    let format = format.unwrap_or_else(|| Format::from_path(&path.to_string_lossy()));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-    let records = match parse(&text, format) {
-        Ok(records) => records,
-        Err(e) => fail(&format!("{}: {e}", path.display())),
-    };
+    let records = read_records(&path, format);
     if let Some(rules) = alerts {
         let rules = if rules == "default" {
             pad::pipeline::default_alert_rules()
         } else {
-            let text = std::fs::read_to_string(&rules)
-                .unwrap_or_else(|e| fail(&format!("cannot read {rules}: {e}")));
-            simkit::alert::parse_rules(&text)
+            simkit::alert::parse_rules(&read_file(Path::new(&rules)))
                 .unwrap_or_else(|e| fail(&format!("bad alert rules in {rules}: {e}")))
         };
         let racks = pad::pipeline::try_infer_racks(&records).unwrap_or(1);
@@ -512,7 +449,7 @@ fn print_detection_counts(records: &[ParsedRecord]) {
     if !has_detections {
         return;
     }
-    let Some(racks) = try_infer_racks(records) else {
+    let Some(racks) = pad::pipeline::try_infer_racks(records) else {
         println!("\ndetection trace present, but no rack-NN.draw_w samples to replay it over");
         return;
     };
@@ -531,43 +468,20 @@ fn print_detection_counts(records: &[ParsedRecord]) {
     print!("{}", table.render());
 }
 
-/// Rack count implied by a trace's `rack-NN.draw_w` sample names.
-fn try_infer_racks(records: &[ParsedRecord]) -> Option<usize> {
-    pad::pipeline::try_infer_racks(records)
-}
-
-/// Like [`try_infer_racks`], but fatal when the trace has no rack names.
-fn infer_racks(records: &[ParsedRecord]) -> usize {
-    try_infer_racks(records)
-        .unwrap_or_else(|| fail("trace has no rack-NN.draw_w samples; pass --racks <N>"))
-}
-
 /// `padsim incident <dir|file>`: reconstruct incidents from recorded
 /// span traces. A directory is scanned for `*.spans.jsonl` / `*.spans.csv`
 /// files (one per scheme, as written by `--trace`); each trace's sibling
 /// telemetry file (same stem without `.spans`) is joined when present.
-fn run_incident(mut it: impl Iterator<Item = String>) -> ! {
+fn run_incident(mut flags: Flags) -> ! {
     let mut path: Option<PathBuf> = None;
     let mut names_only = false;
     let mut json = false;
     let mut format: Option<Format> = None;
-    while let Some(arg) = it.next() {
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--names" => names_only = true,
             "--json" => json = true,
-            "--format" => {
-                let name = it
-                    .next()
-                    .unwrap_or_else(|| fail("--format requires a value"));
-                format = Some(
-                    Format::from_name(&name)
-                        .unwrap_or_else(|| fail(&format!("unknown format {name:?}"))),
-                );
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--format" => format = Some(parse_format(&flags.value())),
             other if !other.starts_with('-') && path.is_none() => path = Some(PathBuf::from(other)),
             other => fail(&format!("unknown incident argument {other:?}")),
         }
@@ -599,9 +513,7 @@ fn run_incident(mut it: impl Iterator<Item = String>) -> ! {
     };
     for (i, file) in files.iter().enumerate() {
         let file_format = format.unwrap_or_else(|| Format::from_path(&file.to_string_lossy()));
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", file.display())));
-        let spans = match parse_spans(&text, file_format) {
+        let spans = match parse_spans(&read_file(file), file_format) {
             Ok(spans) => spans,
             Err(e) => fail(&format!("{}: {e}", file.display())),
         };
@@ -673,7 +585,7 @@ fn print_firings(stack: &SimDetectors) {
 /// trace (`--replay`), or live on the §V testbed against a labeled
 /// attack — reporting the confusion matrix, per-spike latency, a
 /// live-vs-replay determinism check, and optionally a threshold ROC.
-fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
+fn run_detect(mut flags: Flags) -> ! {
     let mut replay: Option<PathBuf> = None;
     let mut format: Option<Format> = None;
     let mut racks_override: Option<usize> = None;
@@ -685,35 +597,19 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
     let mut jobs = 1usize;
     let mut roc = false;
     let mut json = false;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--replay" => replay = Some(PathBuf::from(value("--replay"))),
+            "--replay" => replay = Some(PathBuf::from(flags.value())),
             "--json" => json = true,
-            "--format" => {
-                let name = value("--format");
-                format = Some(
-                    Format::from_name(&name)
-                        .unwrap_or_else(|| fail(&format!("unknown format {name:?}"))),
-                );
-            }
-            "--racks" => racks_override = Some(parse_num(&value("--racks"), "--racks").max(1)),
-            "--style" => style = parse_style(&value("--style")),
-            "--class" => class = parse_class(&value("--class")),
-            "--nodes" => nodes = parse_num(&value("--nodes"), "--nodes").max(1),
-            "--duration-mins" => {
-                duration_mins = parse_num(&value("--duration-mins"), "--duration-mins") as u64
-            }
-            "--seed" => seed = parse_num(&value("--seed"), "--seed") as u64,
-            "--jobs" => jobs = parse_num(&value("--jobs"), "--jobs").max(1),
+            "--format" => format = Some(parse_format(&flags.value())),
+            "--racks" => racks_override = Some(flags.parse::<usize>("an integer").max(1)),
+            "--style" => style = parse_style(&flags.value()),
+            "--class" => class = parse_class(&flags.value()),
+            "--nodes" => nodes = flags.parse::<usize>("an integer").max(1),
+            "--duration-mins" => duration_mins = flags.parse("an integer"),
+            "--seed" => seed = flags.parse("an integer"),
+            "--jobs" => jobs = flags.parse::<usize>("an integer").max(1),
             "--roc" => roc = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
             other => fail(&format!("unknown detect argument {other:?}")),
         }
     }
@@ -722,14 +618,11 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
     // the same code path the padsimd daemon runs per streamed session,
     // so the two stay byte-identical by construction.
     if let Some(path) = replay {
-        let format = format.unwrap_or_else(|| Format::from_path(&path.to_string_lossy()));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-        let records = match parse(&text, format) {
-            Ok(records) => records,
-            Err(e) => fail(&format!("{}: {e}", path.display())),
-        };
-        let racks = racks_override.unwrap_or_else(|| infer_racks(&records));
+        let records = read_records(&path, format);
+        let racks = racks_override.unwrap_or_else(|| {
+            pad::pipeline::try_infer_racks(&records)
+                .unwrap_or_else(|| fail("trace has no rack-NN.draw_w samples; pass --racks <N>"))
+        });
         let summary = pad::pipeline::replay_records(racks, PipelineConfig::default(), &records);
         if json {
             print!("{}", summary.to_json());
@@ -751,11 +644,7 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
     let attack_at = SimTime::ZERO + LEAD_IN;
     let horizon = attack_at + SimDuration::from_mins(duration_mins);
     let windows = scenario.ground_truth(attack_at, horizon);
-    let mut sim = match ClusterSim::new(config, testbed_trace(seed)) {
-        Ok(sim) => sim,
-        Err(e) => fail(&e),
-    };
-    sim.reseed_noise(seed ^ 0x5EED);
+    let mut sim = new_sim(config, testbed_trace(seed), seed);
     sim.enable_detection(DetectConfig::default());
     sim.enable_telemetry(DEFAULT_TELEMETRY_CAPACITY);
     sim.set_attack(scenario, RackId(0), attack_at);
@@ -860,14 +749,6 @@ fn resolve_plan(name: &str) -> FaultPlan {
     FaultPlan::from_json(&text).unwrap_or_else(|e| fail(&format!("{name}: {e}")))
 }
 
-/// Human label for a fault target.
-fn target_label(target: simkit::fault::FaultTarget) -> String {
-    match target {
-        simkit::fault::FaultTarget::All => "cluster".to_string(),
-        simkit::fault::FaultTarget::Unit(u) => format!("rack-{u:02}"),
-    }
-}
-
 /// `padsim fault`: run a labeled attack while an injected fault plan
 /// degrades the sensors, the coordinator link, and the physical layer —
 /// with the graceful-degradation control plane armed (or disarmed with
@@ -875,7 +756,7 @@ fn target_label(target: simkit::fault::FaultTarget) -> String {
 /// compares against). Reports the survival summary plus what the
 /// injector actually did; `--out` also writes `fault_report.json` next
 /// to the usual telemetry and span traces.
-fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
+fn run_fault(mut flags: Flags) -> ! {
     let mut plan_name = "ci-smoke".to_string();
     let mut list = false;
     let mut print_plan = false;
@@ -887,39 +768,22 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
         duration_mins: 20,
         ..Args::default()
     };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--plan" => plan_name = value("--plan"),
+            "--plan" => plan_name = flags.value(),
             "--list" => list = true,
             "--print-plan" => print_plan = true,
             "--no-fallback" => no_fallback = true,
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--format" => {
-                let name = value("--format");
-                format = Format::from_name(&name)
-                    .unwrap_or_else(|| fail(&format!("unknown format {name:?}")));
-            }
-            "--scheme" => args.scheme = parse_scheme(&value("--scheme")),
-            "--style" => args.style = parse_style(&value("--style")),
-            "--class" => args.class = parse_class(&value("--class")),
-            "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
-            "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
-            "--seed" => args.seed = parse_num(&value("--seed"), "--seed") as u64,
-            "--attack-at-mins" => {
-                args.attack_at_mins =
-                    parse_num(&value("--attack-at-mins"), "--attack-at-mins") as u64
-            }
-            "--duration-mins" => {
-                args.duration_mins = parse_num(&value("--duration-mins"), "--duration-mins") as u64
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--out" => out = Some(PathBuf::from(flags.value())),
+            "--format" => format = parse_format(&flags.value()),
+            "--scheme" => args.scheme = parse_scheme(&flags.value()),
+            "--style" => args.style = parse_style(&flags.value()),
+            "--class" => args.class = parse_class(&flags.value()),
+            "--nodes" => args.nodes = flags.parse("an integer"),
+            "--victims" => args.victims = flags.parse("an integer"),
+            "--seed" => args.seed = flags.parse("an integer"),
+            "--attack-at-mins" => args.attack_at_mins = flags.parse("an integer"),
+            "--duration-mins" => args.duration_mins = flags.parse("an integer"),
             other => fail(&format!("unknown fault argument {other:?}")),
         }
     }
@@ -943,20 +807,10 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
     };
     let attack_at = SimTime::from_mins(args.attack_at_mins);
     let horizon = attack_at + SimDuration::from_mins(args.duration_mins);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: horizon + SimDuration::from_mins(10),
-        mean_utilization: args.mean_util,
-        machine_bias_std: 0.04,
-        ..SynthConfig::google_may2010()
-    }
-    .generate_direct(args.seed);
+    let scenario = attack_scenario(&args);
+    let trace = attack_trace(&args, &config, horizon);
     let grant_interval = config.grant_interval;
-    let mut sim = match ClusterSim::new(config, trace) {
-        Ok(sim) => sim,
-        Err(e) => fail(&e),
-    };
-    sim.reseed_noise(args.seed ^ 0x5EED);
+    let mut sim = new_sim(config, trace, args.seed);
     // Unlike the plain attack run, telemetry and spans start at t=0:
     // the named plans open their first windows before the attack lands,
     // and those edges are part of the story.
@@ -984,42 +838,11 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
             )
         }
     );
-    let mut schedule = Table::new(vec!["spec", "fault", "target", "window"]);
-    schedule.title("injected fault schedule");
-    for (i, spec) in plan.specs().iter().enumerate() {
-        schedule.row(vec![
-            i.to_string(),
-            spec.kind.to_string(),
-            target_label(spec.target),
-            format!("{}..{}", spec.start, spec.end),
-        ]);
-    }
-    print!("{}", schedule.render());
+    print_schedule("injected fault schedule", &plan);
 
     // Warm to the attack with faults live, then hit the weakest racks.
     sim.run(attack_at, SimDuration::from_millis(100), false);
-    let scenario = AttackScenario::new(args.style, args.class, args.nodes);
-    let mut by_soc: Vec<(usize, f64)> = sim.rack_socs().into_iter().enumerate().collect();
-    by_soc.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite SOC"));
-    let victims: Vec<RackId> = by_soc
-        .iter()
-        .take(args.victims.clamp(1, args.racks))
-        .map(|&(r, _)| RackId(r))
-        .collect();
-    for (i, &v) in victims.iter().enumerate() {
-        println!(
-            "attack: {} from t={} against {} (battery at {:.0}%)",
-            scenario.label(),
-            attack_at,
-            v,
-            sim.rack_socs()[v.0] * 100.0
-        );
-        if i == 0 {
-            sim.set_attack(scenario, v, attack_at);
-        } else {
-            sim.add_attack(scenario, v, attack_at);
-        }
-    }
+    attack_weakest(&mut sim, scenario, args.victims, attack_at);
     let report = sim.run(horizon, SimDuration::from_millis(100), true);
 
     println!();
@@ -1059,18 +882,13 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
     let fault_report = faults.report();
 
     if let Some(dir) = &out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create {}: {e}", dir.display()));
-        }
+        create_dir(dir);
         let report_path = dir.join("fault_report.json");
-        if let Err(e) = std::fs::write(&report_path, fault_report.to_json() + "\n") {
-            fail(&format!("cannot write {}: {e}", report_path.display()));
-        }
+        write_file(&report_path, fault_report.to_json() + "\n");
         println!("fault report -> {}", report_path.display());
-        let dump = sim.take_telemetry().expect("telemetry was enabled");
-        write_telemetry(dir, args.scheme, format, &dump);
+        let telemetry = sim.take_telemetry().expect("telemetry was enabled");
         let spans = sim.take_trace().expect("tracing was enabled");
-        write_trace(dir, args.scheme, format, &spans);
+        write_recordings(dir, args.scheme, format, Some(&telemetry), Some(&spans));
     }
     std::process::exit(0);
 }
@@ -1081,7 +899,7 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
 /// up to the configured horizon, and checks the selected invariants in
 /// every reachable state. Counterexamples are replayed through the
 /// full-fidelity simulator as deterministic fault plans.
-fn run_mc(mut it: impl Iterator<Item = String>) -> ! {
+fn run_mc(mut flags: Flags) -> ! {
     let mut racks = 3usize;
     let mut rounds = 4u32;
     let mut strategy = Strategy::Dfs;
@@ -1097,21 +915,17 @@ fn run_mc(mut it: impl Iterator<Item = String>) -> ! {
     // lease visibly overspends when the broken model replays.
     let mut seed = 7u64;
     let mut out: Option<PathBuf> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--racks" => racks = parse_num(&value("--racks"), "--racks"),
-            "--rounds" => rounds = parse_num(&value("--rounds"), "--rounds") as u32,
+            "--racks" => racks = flags.parse("an integer"),
+            "--rounds" => rounds = flags.parse("an integer below 2^32"),
             "--strategy" => {
-                let name = value("--strategy");
+                let name = flags.value();
                 strategy = Strategy::from_name(&name)
                     .unwrap_or_else(|| fail(&format!("unknown strategy {name:?}")));
             }
             "--invariant" => {
-                let name = value("--invariant");
+                let name = flags.value();
                 if name == "all" {
                     invariant_names = INVARIANTS.iter().map(|n| n.to_string()).collect();
                 } else if INVARIANTS.contains(&name.as_str()) {
@@ -1126,23 +940,17 @@ fn run_mc(mut it: impl Iterator<Item = String>) -> ! {
                 }
             }
             "--broken" => {
-                let name = value("--broken");
+                let name = flags.value();
                 broken = BrokenMode::from_name(&name)
                     .unwrap_or_else(|| fail(&format!("unknown broken mode {name:?}")));
             }
-            "--max-states" => max_states = parse_num(&value("--max-states"), "--max-states") as u64,
-            "--dup-budget" => {
-                dup_budget = Some(parse_num(&value("--dup-budget"), "--dup-budget") as u8)
-            }
+            "--max-states" => max_states = flags.parse("an integer"),
+            "--dup-budget" => dup_budget = Some(flags.parse("an integer from 0 to 255")),
             "--ci-smoke" => ci_smoke = true,
             "--schema" => schema = true,
             "--no-replay" => no_replay = true,
-            "--seed" => seed = parse_num(&value("--seed"), "--seed") as u64,
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--seed" => seed = flags.parse("an integer"),
+            "--out" => out = Some(PathBuf::from(flags.value())),
             other => fail(&format!("unknown mc argument {other:?}")),
         }
     }
@@ -1266,14 +1074,12 @@ fn write_mc_report(
     invariant_names: &[String],
     report: &McReport,
 ) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        fail(&format!("cannot create {}: {e}", dir.display()));
-    }
+    create_dir(dir);
     let path = dir.join("mc_report.json");
-    let json = render_mc_report_json(config, strategy.name(), invariant_names, report);
-    if let Err(e) = std::fs::write(&path, json + "\n") {
-        fail(&format!("cannot write {}: {e}", path.display()));
-    }
+    write_file(
+        &path,
+        render_mc_report_json(config, strategy.name(), invariant_names, report) + "\n",
+    );
     println!("mc report -> {}", path.display());
 }
 
@@ -1372,17 +1178,7 @@ fn replay_counterexample(v: &Violation, config: &ModelConfig, seed: u64, out: Op
         "replay: {} fault spec(s) reproduce the counterexample on the simulator clock",
         plan.len()
     );
-    let mut schedule = Table::new(vec!["spec", "fault", "target", "window"]);
-    schedule.title("counterexample fault schedule");
-    for (i, spec) in plan.specs().iter().enumerate() {
-        schedule.row(vec![
-            i.to_string(),
-            spec.kind.to_string(),
-            target_label(spec.target),
-            format!("{}..{}", spec.start, spec.end),
-        ]);
-    }
-    print!("{}", schedule.render());
+    print_schedule("counterexample fault schedule", &plan);
 
     // Run long enough for every faulted round plus the watchdog tail.
     let last_window = plan
@@ -1405,11 +1201,7 @@ fn replay_counterexample(v: &Violation, config: &ModelConfig, seed: u64, out: Op
         ..SynthConfig::small_test()
     }
     .generate_direct(seed);
-    let mut sim = match ClusterSim::new(sim_config, trace) {
-        Ok(sim) => sim,
-        Err(e) => fail(&e),
-    };
-    sim.reseed_noise(seed ^ 0x5EED);
+    let mut sim = new_sim(sim_config, trace, seed);
     sim.enable_tracing(DEFAULT_TRACE_CAPACITY);
     let degraded = match config.broken {
         BrokenMode::LeaseExpiry => {
@@ -1472,17 +1264,10 @@ fn replay_counterexample(v: &Violation, config: &ModelConfig, seed: u64, out: Op
         println!("incidents: {}", incidents.len());
     }
     if let Some(dir) = out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create {}: {e}", dir.display()));
-        }
-        let trace_path = dir.join("mc_counterexample.spans.jsonl");
-        if let Err(e) = std::fs::write(&trace_path, text) {
-            fail(&format!("cannot write {}: {e}", trace_path.display()));
-        }
+        create_dir(dir);
+        write_file(&dir.join("mc_counterexample.spans.jsonl"), text);
         let ce_path = dir.join("mc_counterexample.txt");
-        if let Err(e) = std::fs::write(&ce_path, render_violation(v)) {
-            fail(&format!("cannot write {}: {e}", ce_path.display()));
-        }
+        write_file(&ce_path, render_violation(v));
         println!("counterexample -> {} (spans next to it)", ce_path.display());
     }
 }
@@ -1491,37 +1276,26 @@ fn replay_counterexample(v: &Violation, config: &ModelConfig, seed: u64, out: Op
 /// on one shared trace — merged into a phase breakdown, a simulated
 /// rack-hours-per-wall-second figure, and (with `--out`) the
 /// schema-pinned `perf_report.json` the CI regression gate reads.
-fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
-    let mut jobs = 1usize;
-    let mut racks = 22usize;
-    let mut servers = 10usize;
+fn run_perf(mut flags: Flags) -> ! {
+    let mut args = Args::default();
     let mut ticks = 3_000u64;
-    let mut seed = 42u64;
     let mut out: Option<PathBuf> = None;
     let mut table = false;
     let mut baseline: Option<PathBuf> = None;
     let mut gate_pct = 25.0f64;
     let mut schema = false;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--jobs" => jobs = parse_num(&value("--jobs"), "--jobs").max(1),
-            "--racks" => racks = parse_num(&value("--racks"), "--racks"),
-            "--servers" => servers = parse_num(&value("--servers"), "--servers"),
-            "--ticks" => ticks = parse_num(&value("--ticks"), "--ticks") as u64,
-            "--seed" => seed = parse_num(&value("--seed"), "--seed") as u64,
-            "--out" => out = Some(PathBuf::from(value("--out"))),
+            "--jobs" => args.jobs = flags.parse::<usize>("an integer").max(1),
+            "--racks" => args.racks = flags.parse("an integer"),
+            "--servers" => args.servers = flags.parse("an integer"),
+            "--ticks" => ticks = flags.parse("an integer"),
+            "--seed" => args.seed = flags.parse("an integer"),
+            "--out" => out = Some(PathBuf::from(flags.value())),
             "--table" => table = true,
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
-            "--gate" => gate_pct = parse_f64(&value("--gate"), "--gate"),
+            "--baseline" => baseline = Some(PathBuf::from(flags.value())),
+            "--gate" => gate_pct = flags.parse("a number"),
             "--schema" => schema = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
             other => fail(&format!("unknown perf argument {other:?}")),
         }
     }
@@ -1536,13 +1310,6 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
         fail("--gate expects a percentage strictly between 0 and 100");
     }
 
-    let args = Args {
-        racks,
-        servers,
-        jobs,
-        seed,
-        ..Args::default()
-    };
     let dt = SimDuration::from_millis(100);
     let horizon = SimTime::ZERO + dt * ticks;
     // Attack at a quarter of the horizon: the measured loop spends most
@@ -1555,11 +1322,11 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
         "padsim perf: {} scheme scenario(s), {} racks x {} servers, {} ticks @ {} ms, \
          {} worker(s)",
         Scheme::ALL.len(),
-        racks,
-        servers,
+        args.racks,
+        args.servers,
         ticks,
         (dt.as_secs_f64() * 1000.0).round() as u64,
-        jobs
+        args.jobs
     );
 
     // sweep.parse: synthesizing (or in trace-driven setups, parsing) the
@@ -1575,7 +1342,7 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
         machine_bias_std: 0.04,
         ..SynthConfig::google_may2010()
     }
-    .generate_direct(seed);
+    .generate_direct(args.seed);
     let parse_wall = parse_start.elapsed();
 
     let scenario = AttackScenario::new(AttackStyle::Dense, VirusClass::CpuIntensive, 4);
@@ -1591,7 +1358,7 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
                 .record_profile()
         })
         .collect();
-    let sweep = ConfigSweep::new(Arc::new(trace), seed ^ 0x5EED).with_jobs(jobs);
+    let sweep = ConfigSweep::new(Arc::new(trace), args.seed ^ 0x5EED).with_jobs(args.jobs);
     let (outcomes, sweep_profile) = match sweep.run_profiled(cases) {
         Ok(o) => o,
         Err(e) => fail(&e),
@@ -1611,12 +1378,12 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
         queue_wait += outcome.cost.queue_wait;
     }
     let report = PerfReport::new(
-        racks,
-        servers,
+        args.racks,
+        args.servers,
         "all".to_string(),
         ticks,
         dt,
-        seed,
+        args.seed,
         merged,
         &sweep_profile,
         parse_wall,
@@ -1683,21 +1450,14 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
 
     if let Some(path) = &out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail(&format!("cannot create {}: {e}", dir.display()));
-            }
+            create_dir(dir);
         }
-        if let Err(e) = std::fs::write(path, report.to_json() + "\n") {
-            fail(&format!("cannot write {}: {e}", path.display()));
-        }
+        write_file(path, report.to_json() + "\n");
         println!("perf report -> {}", path.display());
     }
 
     if let Some(path) = &baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => fail(&format!("cannot read {}: {e}", path.display())),
-        };
+        let text = read_file(path);
         let base = extract_json_number(&text, "rack_hours_per_wall_sec").unwrap_or_else(|| {
             fail(&format!(
                 "{} carries no rack_hours_per_wall_sec figure",
@@ -1724,7 +1484,7 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
 /// print each one's banner and body, or write `<dir>/<name>.txt` each
 /// with `--out`. Exits 1 once every output is written when a premise an
 /// experiment asserts failed.
-fn run_reproduce(mut it: impl Iterator<Item = String>) -> ! {
+fn run_reproduce(mut flags: Flags) -> ! {
     let names = || {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         format!("experiments: all, {}", names.join(", "))
@@ -1733,19 +1493,11 @@ fn run_reproduce(mut it: impl Iterator<Item = String>) -> ! {
     let mut fidelity = Fidelity::Paper;
     let mut jobs = 1usize;
     let mut out: Option<PathBuf> = None;
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--smoke" => fidelity = Fidelity::Smoke,
-            "--jobs" => jobs = parse_num(&value("--jobs"), "--jobs").max(1),
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--jobs" => jobs = flags.parse::<usize>("an integer").max(1),
+            "--out" => out = Some(PathBuf::from(flags.value())),
             other if !other.starts_with('-') && target.is_none() => target = Some(arg),
             other => fail(&format!(
                 "unknown reproduce argument {other:?}; {}",
@@ -1765,9 +1517,7 @@ fn run_reproduce(mut it: impl Iterator<Item = String>) -> ! {
         },
     };
     if let Some(dir) = &out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create {}: {e}", dir.display()));
-        }
+        create_dir(dir);
     }
     let mut failed = Vec::new();
     for experiment in selected {
@@ -1776,12 +1526,7 @@ fn run_reproduce(mut it: impl Iterator<Item = String>) -> ! {
             failed.push(experiment.name);
         }
         match &out {
-            Some(dir) => {
-                let path = dir.join(format!("{}.txt", experiment.name));
-                if let Err(e) = std::fs::write(&path, &run.text) {
-                    fail(&format!("cannot write {}: {e}", path.display()));
-                }
-            }
+            Some(dir) => write_file(&dir.join(format!("{}.txt", experiment.name)), &run.text),
             None => print!("{}", run.text),
         }
     }
@@ -1804,53 +1549,70 @@ fn scheme_key(scheme: Scheme) -> &'static str {
     }
 }
 
-/// Writes one scheme's telemetry dump into `dir` and reports the file.
-fn write_telemetry(dir: &Path, scheme: Scheme, format: Format, dump: &TelemetryDump) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        fail(&format!("cannot create {}: {e}", dir.display()));
+/// Reads a recorded telemetry trace, in `format` or the one its
+/// extension names.
+fn read_records(path: &Path, format: Option<Format>) -> Vec<ParsedRecord> {
+    let format = format.unwrap_or_else(|| Format::from_path(&path.to_string_lossy()));
+    match parse(&read_file(path), format) {
+        Ok(records) => records,
+        Err(e) => fail(&format!("{}: {e}", path.display())),
     }
-    let path = dir.join(format!("{}.{}", scheme_key(scheme), format.extension()));
-    if let Err(e) = std::fs::write(&path, dump.serialize(format)) {
-        fail(&format!("cannot write {}: {e}", path.display()));
-    }
-    let dropped = if dump.dropped > 0 {
-        format!(" ({} evicted by the ring)", dump.dropped)
-    } else {
-        String::new()
-    };
-    println!(
-        "telemetry: {} records{} -> {}",
-        dump.records.len(),
-        dropped,
-        path.display()
-    );
 }
 
-/// Writes one scheme's span trace into `dir` as `<scheme>.spans.<ext>`,
-/// next to the telemetry file `padsim incident` joins it with.
-fn write_trace(dir: &Path, scheme: Scheme, format: Format, dump: &TraceDump) {
+fn read_file(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())))
+}
+
+fn create_dir(dir: &Path) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         fail(&format!("cannot create {}: {e}", dir.display()));
     }
-    let path = dir.join(format!(
-        "{}.spans.{}",
-        scheme_key(scheme),
-        format.extension()
-    ));
-    if let Err(e) = std::fs::write(&path, dump.serialize(format)) {
+}
+
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
         fail(&format!("cannot write {}: {e}", path.display()));
     }
-    let dropped = if dump.dropped > 0 {
-        format!(" ({} evicted by the ring)", dump.dropped)
-    } else {
-        String::new()
-    };
-    println!(
-        "spans: {} span(s){} -> {}",
-        dump.spans.len(),
-        dropped,
-        path.display()
-    );
+}
+
+/// Writes one scheme's telemetry (`<scheme>.<ext>`) and span trace
+/// (`<scheme>.spans.<ext>`, next to the telemetry file `padsim incident`
+/// joins it with) into `dir`, and reports each file written.
+fn write_recordings(
+    dir: &Path,
+    scheme: Scheme,
+    format: Format,
+    telemetry: Option<&TelemetryDump>,
+    spans: Option<&TraceDump>,
+) {
+    create_dir(dir);
+    let (key, ext) = (scheme_key(scheme), format.extension());
+    let files = [
+        telemetry.map(|d| {
+            let what = format!("telemetry: {} records", d.records.len());
+            (format!("{key}.{ext}"), d.serialize(format), what, d.dropped)
+        }),
+        spans.map(|d| {
+            let what = format!("spans: {} span(s)", d.spans.len());
+            (
+                format!("{key}.spans.{ext}"),
+                d.serialize(format),
+                what,
+                d.dropped,
+            )
+        }),
+    ];
+    for (file, text, what, dropped) in files.into_iter().flatten() {
+        let path = dir.join(file);
+        write_file(&path, text);
+        let dropped = if dropped > 0 {
+            format!(" ({dropped} evicted by the ring)")
+        } else {
+            String::new()
+        };
+        println!("{what}{dropped} -> {}", path.display());
+    }
 }
 
 /// Parses a `--scheme` key; the main command reads `all` before this.
@@ -1879,17 +1641,17 @@ fn parse_class(text: &str) -> VirusClass {
     }
 }
 
-fn parse_num(text: &str, flag: &str) -> usize {
-    text.parse()
-        .unwrap_or_else(|_| fail(&format!("{flag} expects an integer, got {text:?}")))
-}
-
-fn parse_f64(text: &str, flag: &str) -> f64 {
-    text.parse()
-        .unwrap_or_else(|_| fail(&format!("{flag} expects a number, got {text:?}")))
+fn parse_format(name: &str) -> Format {
+    Format::from_name(name).unwrap_or_else(|| fail(&format!("unknown format {name:?}")))
 }
 
 fn build_config(args: &Args, scheme: Scheme) -> SimConfig {
+    if args.racks == 0 {
+        fail("--racks must be at least 1");
+    }
+    if args.servers == 0 {
+        fail("--servers must be at least 1");
+    }
     let server = ServerSpec::hp_proliant_dl585_g5();
     let nameplate = server.peak * args.servers as f64;
     let config = SimConfig {
@@ -1908,11 +1670,95 @@ fn build_config(args: &Args, scheme: Scheme) -> SimConfig {
     config
 }
 
+/// The synthetic workload an attack run plays (the main command and
+/// `fault`), ten minutes longer than its horizon.
+fn attack_trace(args: &Args, config: &SimConfig, horizon: SimTime) -> ClusterTrace {
+    let synth = SynthConfig {
+        machines: config.topology.total_servers(),
+        horizon: horizon + SimDuration::from_mins(10),
+        mean_utilization: args.mean_util,
+        machine_bias_std: 0.04,
+        ..SynthConfig::google_may2010()
+    };
+    if let Err(e) = synth.validate() {
+        fail(&format!("invalid --mean-util: {e}"));
+    }
+    synth.generate_direct(args.seed)
+}
+
+fn attack_scenario(args: &Args) -> AttackScenario {
+    if args.nodes == 0 {
+        fail("--nodes must be at least 1");
+    }
+    let scenario = AttackScenario::new(args.style, args.class, args.nodes);
+    if args.escalate {
+        scenario.with_escalation(SimDuration::from_mins(5))
+    } else {
+        scenario
+    }
+}
+
+/// A simulator over `trace`, its noise seeded from `seed`.
+fn new_sim(config: SimConfig, trace: ClusterTrace, seed: u64) -> ClusterSim {
+    let mut sim = ClusterSim::new(config, trace).unwrap_or_else(|e| fail(&e));
+    sim.reseed_noise(seed ^ 0x5EED);
+    sim
+}
+
+/// Attacks the `victims` racks with the least battery charge left from
+/// `attack_at`, reporting each, and returns the weakest.
+fn attack_weakest(
+    sim: &mut ClusterSim,
+    scenario: AttackScenario,
+    victims: usize,
+    attack_at: SimTime,
+) -> RackId {
+    let mut by_soc: Vec<(usize, f64)> = sim.rack_socs().into_iter().enumerate().collect();
+    by_soc.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite SOC"));
+    let victims = victims.clamp(1, by_soc.len());
+    for (i, &(rack, soc)) in by_soc.iter().take(victims).enumerate() {
+        let v = RackId(rack);
+        println!(
+            "attack: {} from t={} against {} (battery at {:.0}%)",
+            scenario.label(),
+            attack_at,
+            v,
+            soc * 100.0
+        );
+        if i == 0 {
+            sim.set_attack(scenario, v, attack_at);
+        } else {
+            sim.add_attack(scenario, v, attack_at);
+        }
+    }
+    RackId(by_soc[0].0)
+}
+
+/// Prints a fault plan's windows, one row per spec.
+fn print_schedule(title: &str, plan: &FaultPlan) {
+    let mut schedule = Table::new(vec!["spec", "fault", "target", "window"]);
+    schedule.title(title);
+    for (i, spec) in plan.specs().iter().enumerate() {
+        let target = match spec.target {
+            FaultTarget::All => "cluster".to_string(),
+            FaultTarget::Unit(u) => format!("rack-{u:02}"),
+        };
+        schedule.row(vec![
+            i.to_string(),
+            spec.kind.to_string(),
+            target,
+            format!("{}..{}", spec.start, spec.end),
+        ]);
+    }
+    print!("{}", schedule.render());
+}
+
 /// `--scheme all`: one sweep over a shared trace, every scheme attacked
 /// identically, fanned across `--jobs` workers.
 fn run_comparison(
     args: &Args,
-    trace: workload::trace::ClusterTrace,
+    scenario: AttackScenario,
+    trace: ClusterTrace,
     attack_at: SimTime,
     horizon: SimTime,
 ) {
@@ -1920,10 +1766,6 @@ fn run_comparison(
         "padsim: {} racks x {} servers, comparing all schemes on {} worker(s)",
         args.racks, args.servers, args.jobs
     );
-    let mut scenario = AttackScenario::new(args.style, args.class, args.nodes);
-    if args.escalate {
-        scenario = scenario.with_escalation(SimDuration::from_mins(5));
-    }
     let cases: Vec<SurvivalCase> = Scheme::ALL
         .iter()
         .map(|&scheme| {
@@ -1989,50 +1831,47 @@ fn run_comparison(
     );
     if let Some(dir) = &args.telemetry {
         for (&scheme, outcome) in Scheme::ALL.iter().zip(&outcomes) {
-            let dump = outcome
-                .telemetry
-                .as_ref()
-                .expect("telemetry was requested for every case");
-            write_telemetry(dir, scheme, args.telemetry_format, dump);
+            let dump = outcome.telemetry.as_ref();
+            let dump = dump.expect("telemetry was requested for every case");
+            write_recordings(dir, scheme, args.telemetry_format, Some(dump), None);
         }
     }
     if let Some(dir) = &args.trace {
         for (&scheme, outcome) in Scheme::ALL.iter().zip(&outcomes) {
-            let dump = outcome
-                .trace
-                .as_ref()
-                .expect("span tracing was requested for every case");
-            write_trace(dir, scheme, args.telemetry_format, dump);
+            let dump = outcome.trace.as_ref();
+            let dump = dump.expect("span tracing was requested for every case");
+            write_recordings(dir, scheme, args.telemetry_format, None, Some(dump));
         }
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = |skip| Flags::new(std::env::args().skip(skip), USAGE, fail);
+    match std::env::args().nth(1).as_deref() {
+        Some("inspect") => run_inspect(flags(2)),
+        Some("incident") => run_incident(flags(2)),
+        Some("detect") => run_detect(flags(2)),
+        Some("fault") => run_fault(flags(2)),
+        Some("mc") => run_mc(flags(2)),
+        Some("perf") => run_perf(flags(2)),
+        Some("reproduce") => run_reproduce(flags(2)),
+        _ => run_attack(&parse_args(flags(1))),
+    }
+}
 
-    let config = build_config(&args, args.scheme);
-
+/// The main command: attack the weakest rack(s) of a cluster under one
+/// scheme, or under every scheme with `--scheme all`.
+fn run_attack(args: &Args) {
+    let config = build_config(args, args.scheme);
     let attack_at = SimTime::from_mins(args.attack_at_mins);
     let horizon = attack_at + SimDuration::from_mins(args.duration_mins);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: horizon + SimDuration::from_mins(10),
-        mean_utilization: args.mean_util,
-        machine_bias_std: 0.04,
-        ..SynthConfig::google_may2010()
-    }
-    .generate_direct(args.seed);
-
+    let scenario = attack_scenario(args);
+    let trace = attack_trace(args, &config, horizon);
     if args.all_schemes {
-        run_comparison(&args, trace, attack_at, horizon);
-        return;
+        return run_comparison(args, scenario, trace, attack_at, horizon);
     }
 
-    let mut sim = match ClusterSim::new(config, trace) {
-        Ok(sim) => sim,
-        Err(e) => fail(&e),
-    };
-    sim.reseed_noise(args.seed ^ 0x5EED);
+    let mut sim = new_sim(config, trace, args.seed);
     if args.soc_map {
         sim.record_soc(SimDuration::from_mins(1));
     }
@@ -2054,32 +1893,7 @@ fn main() {
     if args.trace.is_some() {
         sim.enable_tracing(DEFAULT_TRACE_CAPACITY);
     }
-    let mut scenario = AttackScenario::new(args.style, args.class, args.nodes);
-    if args.escalate {
-        scenario = scenario.with_escalation(SimDuration::from_mins(5));
-    }
-    let mut by_soc: Vec<(usize, f64)> = sim.rack_socs().into_iter().enumerate().collect();
-    by_soc.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite SOC"));
-    let victims: Vec<powerinfra::topology::RackId> = by_soc
-        .iter()
-        .take(args.victims.clamp(1, args.racks))
-        .map(|&(r, _)| powerinfra::topology::RackId(r))
-        .collect();
-    let victim = victims[0];
-    for (i, &v) in victims.iter().enumerate() {
-        println!(
-            "attack: {} from t={} against {} (battery at {:.0}%)",
-            scenario.label(),
-            attack_at,
-            v,
-            sim.rack_socs()[v.0] * 100.0
-        );
-        if i == 0 {
-            sim.set_attack(scenario, v, attack_at);
-        } else {
-            sim.add_attack(scenario, v, attack_at);
-        }
-    }
+    let victim = attack_weakest(&mut sim, scenario, args.victims, attack_at);
     let report = sim.run(horizon, SimDuration::from_millis(100), true);
 
     println!();
@@ -2121,12 +1935,12 @@ fn main() {
 
     if let Some(dir) = &args.telemetry {
         let dump = sim.take_telemetry().expect("telemetry was enabled");
-        write_telemetry(dir, args.scheme, args.telemetry_format, &dump);
+        write_recordings(dir, args.scheme, args.telemetry_format, Some(&dump), None);
     }
 
     if let Some(dir) = &args.trace {
         let dump = sim.take_trace().expect("tracing was enabled");
-        write_trace(dir, args.scheme, args.telemetry_format, &dump);
+        write_recordings(dir, args.scheme, args.telemetry_format, None, Some(&dump));
     }
 
     if args.log {

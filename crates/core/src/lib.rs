@@ -35,6 +35,8 @@
 //!
 //! ## Crate map
 //!
+//! * [`cli`] — the flag reader behind the `padsim` and `padsimd` command
+//!   lines;
 //! * [`policy`] — the three-level hierarchical security policy (Fig. 9),
 //!   escalation-aware via graded detection evidence;
 //! * [`detect`] — streaming attack detectors over the telemetry channels,
@@ -70,6 +72,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod detect;
 pub mod experiments;
 pub mod fault;

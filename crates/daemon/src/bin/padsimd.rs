@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use pad::cli::Flags;
 use pad::pipeline::PipelineConfig;
 use pad::policy::Strictness;
 use paddaemon::chaos::{run_chaos, ChaosOptions};
@@ -121,37 +122,24 @@ fn fail(message: &str) -> ! {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("serve") => run_serve(args),
-        Some("send") => run_send(args),
-        Some("get") => run_get(args),
-        Some("chaos") => run_chaos_cmd(args),
-        Some("-h" | "--help") => println!("{USAGE}"),
+    let mut flags = Flags::new(std::env::args().skip(1), USAGE, fail);
+    match flags.next().as_deref() {
+        Some("serve") => run_serve(flags),
+        Some("send") => run_send(flags),
+        Some("get") => run_get(flags),
+        Some("chaos") => run_chaos_cmd(flags),
         Some(other) => fail(&format!("unknown subcommand {other:?}")),
         None => fail("a subcommand is required (serve, send, get, chaos)"),
     }
 }
 
-fn run_chaos_cmd(mut it: impl Iterator<Item = String>) {
+fn run_chaos_cmd(mut flags: Flags) {
     let mut opts = ChaosOptions::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--ci-smoke" => opts.ci_smoke = true,
-            "--out" => opts.out = PathBuf::from(value("--out")),
-            "--seed" => {
-                opts.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed expects an integer"))
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
+            "--out" => opts.out = PathBuf::from(flags.value()),
+            "--seed" => opts.seed = flags.parse("an integer"),
             other => fail(&format!("unknown chaos argument {other:?}")),
         }
     }
@@ -172,58 +160,36 @@ fn run_chaos_cmd(mut it: impl Iterator<Item = String>) {
     }
 }
 
-fn run_serve(mut it: impl Iterator<Item = String>) {
+fn run_serve(mut flags: Flags) {
     let mut opts = ServeOptions::default();
     let mut config = PipelineConfig::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--listen" => opts.listen = Some(value("--listen")),
-            "--uds" => opts.uds = Some(PathBuf::from(value("--uds"))),
-            "--http" => opts.http = Some(value("--http")),
-            "--out" => opts.out = Some(PathBuf::from(value("--out"))),
-            "--ports-file" => opts.ports_file = Some(PathBuf::from(value("--ports-file"))),
-            "--hold-down" => {
-                config.hold_down = value("--hold-down")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--hold-down expects a tick count"))
-            }
+            "--listen" => opts.listen = Some(flags.value()),
+            "--uds" => opts.uds = Some(PathBuf::from(flags.value())),
+            "--http" => opts.http = Some(flags.value()),
+            "--out" => opts.out = Some(PathBuf::from(flags.value())),
+            "--ports-file" => opts.ports_file = Some(PathBuf::from(flags.value())),
+            "--hold-down" => config.hold_down = flags.parse("a tick count"),
             "--strictness" => {
-                config.strictness = match value("--strictness").as_str() {
+                config.strictness = match flags.value().as_str() {
                     "strict" => Strictness::Strict,
                     "lenient" => Strictness::Lenient,
                     other => fail(&format!("unknown strictness {other:?}")),
                 }
             }
             "--alerts" => {
-                let path = value("--alerts");
+                let path = flags.value();
                 let text = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
                 let rules = simkit::alert::parse_rules(&text)
                     .unwrap_or_else(|e| fail(&format!("bad alert rules in {path}: {e}")));
                 opts.alert_rules = Some(rules);
             }
-            "--state-dir" => opts.state_dir = Some(PathBuf::from(value("--state-dir"))),
-            "--max-buffered" => {
-                opts.max_buffered_lines = Some(
-                    value("--max-buffered")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--max-buffered expects a line count")),
-                )
-            }
+            "--state-dir" => opts.state_dir = Some(PathBuf::from(flags.value())),
+            "--max-buffered" => opts.max_buffered_lines = Some(flags.parse("a line count")),
             "--idle-timeout" => {
-                opts.idle_timeout = Some(Duration::from_millis(
-                    value("--idle-timeout")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--idle-timeout expects milliseconds")),
-                ))
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
+                opts.idle_timeout = Some(Duration::from_millis(flags.parse("milliseconds")))
             }
             other => fail(&format!("unknown serve argument {other:?}")),
         }
@@ -235,7 +201,7 @@ fn run_serve(mut it: impl Iterator<Item = String>) {
     }
 }
 
-fn run_send(mut it: impl Iterator<Item = String>) {
+fn run_send(mut flags: Flags) {
     let mut target: Option<String> = None;
     let mut file: Option<PathBuf> = None;
     let mut job = SendJob {
@@ -248,15 +214,11 @@ fn run_send(mut it: impl Iterator<Item = String>) {
     let mut spans_file: Option<PathBuf> = None;
     let mut resume = false;
     let mut retries = RetryOpts::default();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} requires a value")))
-        };
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--tenant" => job.tenant = value("--tenant"),
+            "--tenant" => job.tenant = flags.value(),
             "--format" => {
-                let name = value("--format");
+                let name = flags.value();
                 job.format = match Format::from_name(&name) {
                     Some(Format::Jsonl) => "jsonl",
                     Some(Format::Csv) => "csv",
@@ -264,19 +226,11 @@ fn run_send(mut it: impl Iterator<Item = String>) {
                 };
                 format_given = true;
             }
-            "--spans" => spans_file = Some(PathBuf::from(value("--spans"))),
+            "--spans" => spans_file = Some(PathBuf::from(flags.value())),
             "--no-end" => job.end = false,
             "--shutdown" => job.shutdown = true,
             "--resume" => resume = true,
-            "--retries" => {
-                retries.max_attempts = value("--retries")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--retries expects an attempt count"))
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
+            "--retries" => retries.max_attempts = flags.parse("an attempt count"),
             other if !other.starts_with('-') && target.is_none() => target = Some(arg),
             other if !other.starts_with('-') && file.is_none() => file = Some(PathBuf::from(other)),
             other => fail(&format!("unknown send argument {other:?}")),
@@ -334,15 +288,11 @@ fn run_send(mut it: impl Iterator<Item = String>) {
     }
 }
 
-fn run_get(mut it: impl Iterator<Item = String>) {
-    let addr = it
+fn run_get(mut flags: Flags) {
+    let addr = flags
         .next()
         .unwrap_or_else(|| fail("get requires an <http-addr>"));
-    if addr == "-h" || addr == "--help" {
-        println!("{USAGE}");
-        return;
-    }
-    let path = it.next().unwrap_or_else(|| fail("get requires a <path>"));
+    let path = flags.require("get requires a <path>");
     match http_get(&addr, &path) {
         Ok((status, body)) => {
             print!("{body}");
