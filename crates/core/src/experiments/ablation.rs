@@ -106,13 +106,8 @@ fn knob_sweep<T: Send + Copy>(
     Ablation { name, rows }
 }
 
-/// Sweeps Algorithm 1's per-rack discharge cap.
-pub fn p_ideal_sweep(fidelity: Fidelity) -> Ablation {
-    p_ideal_sweep_with_jobs(fidelity, 1)
-}
-
-/// [`p_ideal_sweep`] across `jobs` workers.
-pub fn p_ideal_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
+/// Sweeps Algorithm 1's per-rack discharge cap across `jobs` workers.
+pub fn p_ideal_sweep(fidelity: Fidelity, jobs: usize) -> Ablation {
     let fractions: &[f64] = if fidelity.is_smoke() {
         &[0.02, 0.10]
     } else {
@@ -131,13 +126,8 @@ pub fn p_ideal_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
     )
 }
 
-/// Sweeps the vDEB protective reserve.
-pub fn reserve_sweep(fidelity: Fidelity) -> Ablation {
-    reserve_sweep_with_jobs(fidelity, 1)
-}
-
-/// [`reserve_sweep`] across `jobs` workers.
-pub fn reserve_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
+/// Sweeps the vDEB protective reserve across `jobs` workers.
+pub fn reserve_sweep(fidelity: Fidelity, jobs: usize) -> Ablation {
     let reserves: &[f64] = if fidelity.is_smoke() {
         &[0.0, 0.3]
     } else {
@@ -150,13 +140,9 @@ pub fn reserve_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
     })
 }
 
-/// Sweeps the management-loop (grant) period for the vDEB-only scheme.
-pub fn grant_interval_sweep(fidelity: Fidelity) -> Ablation {
-    grant_interval_sweep_with_jobs(fidelity, 1)
-}
-
-/// [`grant_interval_sweep`] across `jobs` workers.
-pub fn grant_interval_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
+/// Sweeps the management-loop (grant) period for the vDEB-only scheme
+/// across `jobs` workers.
+pub fn grant_interval_sweep(fidelity: Fidelity, jobs: usize) -> Ablation {
     let intervals: &[u64] = if fidelity.is_smoke() {
         &[1, 60]
     } else {
@@ -175,13 +161,8 @@ pub fn grant_interval_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablati
     )
 }
 
-/// Sweeps the DVFS actuation latency for PSPC.
-pub fn capping_latency_sweep(fidelity: Fidelity) -> Ablation {
-    capping_latency_sweep_with_jobs(fidelity, 1)
-}
-
-/// [`capping_latency_sweep`] across `jobs` workers.
-pub fn capping_latency_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
+/// Sweeps the DVFS actuation latency for PSPC across `jobs` workers.
+pub fn capping_latency_sweep(fidelity: Fidelity, jobs: usize) -> Ablation {
     let latencies: &[u64] = if fidelity.is_smoke() {
         &[100, 300]
     } else {
@@ -201,13 +182,8 @@ pub fn capping_latency_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablat
 }
 
 /// Compares PAD's two Level-3 actions (shed vs migrate) on survival and
-/// throughput under the reference attack.
-pub fn emergency_action_comparison(fidelity: Fidelity) -> Vec<(EmergencyAction, SimDuration, f64)> {
-    emergency_action_comparison_with_jobs(fidelity, 1)
-}
-
-/// [`emergency_action_comparison`] across `jobs` workers.
-pub fn emergency_action_comparison_with_jobs(
+/// throughput under the reference attack, across `jobs` workers.
+pub fn emergency_action_comparison(
     fidelity: Fidelity,
     jobs: usize,
 ) -> Vec<(EmergencyAction, SimDuration, f64)> {
@@ -251,13 +227,8 @@ pub fn emergency_action_comparison_with_jobs(
 
 /// Sweeps the attacker's campaign breadth: how survival shrinks as more
 /// racks are attacked simultaneously (the "divide and conquer" threat
-/// the DEB architecture invites, §I).
-pub fn campaign_breadth_sweep(fidelity: Fidelity) -> Ablation {
-    campaign_breadth_sweep_with_jobs(fidelity, 1)
-}
-
-/// [`campaign_breadth_sweep`] across `jobs` workers.
-pub fn campaign_breadth_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Ablation {
+/// the DEB architecture invites, §I), across `jobs` workers.
+pub fn campaign_breadth_sweep(fidelity: Fidelity, jobs: usize) -> Ablation {
     let breadths: &[usize] = if fidelity.is_smoke() {
         &[1, 3]
     } else {
@@ -314,15 +285,10 @@ pub fn campaign_breadth_sweep_with_jobs(fidelity: Fidelity, jobs: usize) -> Abla
 /// Compares the two synthetic-trace paths (the faithful job pipeline vs
 /// the fast statistical path) on the reference survival measurement —
 /// checking that the reproduction's conclusions do not hinge on the
-/// trace generator shortcut.
-pub fn trace_path_comparison(fidelity: Fidelity) -> Vec<(&'static str, Scheme, SimDuration)> {
-    trace_path_comparison_with_jobs(fidelity, 1)
-}
-
-/// [`trace_path_comparison`] across `jobs` workers. Each cell generates
-/// its own trace — comparing the generators is the point, so nothing is
-/// shared here.
-pub fn trace_path_comparison_with_jobs(
+/// trace generator shortcut — across `jobs` workers. Each cell
+/// generates its own trace: comparing the generators is the point, so
+/// nothing is shared here.
+pub fn trace_path_comparison(
     fidelity: Fidelity,
     jobs: usize,
 ) -> Vec<(&'static str, Scheme, SimDuration)> {
@@ -397,13 +363,9 @@ pub struct AgingRow {
     pub deep_discharges: u32,
 }
 
-/// Measures daily battery wear per scheme on a hot trace.
-pub fn aging_by_scheme(fidelity: Fidelity) -> Vec<AgingRow> {
-    aging_by_scheme_with_jobs(fidelity, 1)
-}
-
-/// [`aging_by_scheme`] across `jobs` workers, sharing one hot trace.
-pub fn aging_by_scheme_with_jobs(fidelity: Fidelity, jobs: usize) -> Vec<AgingRow> {
+/// Measures daily battery wear per scheme on one shared hot trace,
+/// across `jobs` workers.
+pub fn aging_by_scheme(fidelity: Fidelity, jobs: usize) -> Vec<AgingRow> {
     let horizon = if fidelity.is_smoke() {
         SimTime::from_hours(12)
     } else {
@@ -484,25 +446,20 @@ pub fn render_aging(rows: &[AgingRow]) -> String {
     table.render()
 }
 
-/// Runs every ablation serially and renders them.
-pub fn run_all(fidelity: Fidelity) -> String {
-    run_all_with_jobs(fidelity, 1)
-}
-
 /// Runs every ablation, fanning each sweep across `jobs` workers.
-pub fn run_all_with_jobs(fidelity: Fidelity, jobs: usize) -> String {
+pub fn run_all(fidelity: Fidelity, jobs: usize) -> String {
     let mut out = String::new();
-    out.push_str(&p_ideal_sweep_with_jobs(fidelity, jobs).render());
+    out.push_str(&p_ideal_sweep(fidelity, jobs).render());
     out.push('\n');
-    out.push_str(&reserve_sweep_with_jobs(fidelity, jobs).render());
+    out.push_str(&reserve_sweep(fidelity, jobs).render());
     out.push('\n');
-    out.push_str(&grant_interval_sweep_with_jobs(fidelity, jobs).render());
+    out.push_str(&grant_interval_sweep(fidelity, jobs).render());
     out.push('\n');
-    out.push_str(&capping_latency_sweep_with_jobs(fidelity, jobs).render());
+    out.push_str(&capping_latency_sweep(fidelity, jobs).render());
     out.push('\n');
-    out.push_str(&campaign_breadth_sweep_with_jobs(fidelity, jobs).render());
+    out.push_str(&campaign_breadth_sweep(fidelity, jobs).render());
     out.push('\n');
-    let traces = trace_path_comparison_with_jobs(fidelity, jobs);
+    let traces = trace_path_comparison(fidelity, jobs);
     let mut table = Table::new(vec!["trace path", "scheme", "survival (s)"]);
     table.title("Ablation — job-pipeline vs statistical trace generation");
     for (label, scheme, survival) in &traces {
@@ -514,7 +471,7 @@ pub fn run_all_with_jobs(fidelity: Fidelity, jobs: usize) -> String {
     }
     out.push_str(&table.render());
     out.push('\n');
-    let actions = emergency_action_comparison_with_jobs(fidelity, jobs);
+    let actions = emergency_action_comparison(fidelity, jobs);
     let mut table = Table::new(vec!["Level-3 action", "survival (s)", "throughput"]);
     table.title("Ablation — shed vs migrate at Level 3 (PAD)");
     for (action, survival, throughput) in &actions {
@@ -526,7 +483,7 @@ pub fn run_all_with_jobs(fidelity: Fidelity, jobs: usize) -> String {
     }
     out.push_str(&table.render());
     out.push('\n');
-    out.push_str(&render_aging(&aging_by_scheme_with_jobs(fidelity, jobs)));
+    out.push_str(&render_aging(&aging_by_scheme(fidelity, jobs)));
     out
 }
 
@@ -536,16 +493,16 @@ mod tests {
 
     #[test]
     fn smoke_sweeps_produce_rows() {
-        let ab = p_ideal_sweep(Fidelity::Smoke);
+        let ab = p_ideal_sweep(Fidelity::Smoke, 1);
         assert_eq!(ab.rows.len(), 2);
         assert!(ab.render().contains("P_ideal"));
-        let ab = reserve_sweep(Fidelity::Smoke);
+        let ab = reserve_sweep(Fidelity::Smoke, 1);
         assert_eq!(ab.rows.len(), 2);
     }
 
     #[test]
     fn smoke_broader_campaigns_never_help_the_defense() {
-        let ab = campaign_breadth_sweep(Fidelity::Smoke);
+        let ab = campaign_breadth_sweep(Fidelity::Smoke, 1);
         assert_eq!(ab.rows.len(), 2);
         assert!(
             ab.rows[1].survival <= ab.rows[0].survival,
@@ -556,7 +513,7 @@ mod tests {
 
     #[test]
     fn smoke_aging_pad_avoids_deep_discharges() {
-        let rows = aging_by_scheme(Fidelity::Smoke);
+        let rows = aging_by_scheme(Fidelity::Smoke, 1);
         let get = |s: Scheme| rows.iter().find(|r| r.scheme == s).unwrap();
         let ps = get(Scheme::Ps);
         let pad = get(Scheme::Pad);

@@ -150,16 +150,11 @@ fn meter_rate(
     detected as f64 / windows.spikes.len() as f64
 }
 
-/// Runs the extension serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> DetectRates {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the extension, fanning the baseline and every column across
 /// `jobs` workers over one shared testbed trace. Per-run noise is
 /// reseeded from the column parameters, so results are identical for
 /// any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> DetectRates {
+pub fn run(fidelity: Fidelity, jobs: usize) -> DetectRates {
     let window = if fidelity.is_smoke() {
         SimDuration::from_mins(5)
     } else {
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn detector_bank_beats_coarse_metering_on_sparse_spikes() {
-        let t = run(Fidelity::Smoke);
+        let t = run(Fidelity::Smoke, 1);
         let weak = AttackColumn {
             servers: 1,
             width_secs: 1,

@@ -164,16 +164,11 @@ pub fn survival_under(
     (report.survival_or_horizon(), report.survival().is_none())
 }
 
-/// Runs the whole experiment serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> FaultTolerance {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the whole experiment, fanning every `(mode, loss, seed)` run
 /// across `jobs` workers. Traces are shared per seed and the fault
 /// stream reseeds from the scenario key alone, so the table is
 /// byte-identical to the serial path for any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> FaultTolerance {
+pub fn run(fidelity: Fidelity, jobs: usize) -> FaultTolerance {
     let losses = severities(fidelity);
 
     let machines = SimConfig::paper_default(Scheme::Pad)
@@ -292,7 +287,7 @@ mod tests {
 
     #[test]
     fn smoke_run_shows_fallback_worth() {
-        let ft = run(Fidelity::Smoke);
+        let ft = run(Fidelity::Smoke, 1);
         let loss = ft.max_loss();
         assert!(loss >= 0.1, "sweep must reach the ≥10% loss regime");
         // Healthy control: both modes are the identical unfaulted run.
@@ -315,8 +310,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let serial = run(Fidelity::Smoke);
-        let parallel = run_with_jobs(Fidelity::Smoke, 4);
+        let serial = run(Fidelity::Smoke, 1);
+        let parallel = run(Fidelity::Smoke, 4);
         assert_eq!(serial, parallel);
     }
 }

@@ -135,15 +135,10 @@ pub fn count_effective_shared(
     effective_spikes(&report.overloads, &scenario.train(), window)
 }
 
-/// Runs all three panels serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig08 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs all three panels, fanning the grid cells out across `jobs`
 /// workers. Every cell derives its noise from its own parameters, so the
 /// output is byte-identical for any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig08 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig08 {
     let classes: &[VirusClass] = if fidelity.is_smoke() {
         &[VirusClass::CpuIntensive, VirusClass::IoIntensive]
     } else {
@@ -344,7 +339,7 @@ mod tests {
 
     #[test]
     fn smoke_shapes_match_paper() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         // More nodes never hurt the attacker (CPU class, loose 4% OS).
         let one = fig
             .height

@@ -24,15 +24,10 @@ pub struct Fig12 {
     pub sparse: TimeSeries,
 }
 
-/// Renders both collected traces serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig12 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Renders both collected traces, one sweep scenario per panel. Each
 /// panel draws its jitter from the `(seed, scenario_index)` stream, so
 /// the figure is identical for any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig12 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig12 {
     let duration = if fidelity.is_smoke() {
         SimDuration::from_mins(2)
     } else {
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn smoke_dense_spends_more_time_at_peak() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         let (d, s) = fig.peak_time_fraction();
         assert!(d > s, "dense ({d:.3}) must exceed sparse ({s:.3})");
         assert!(d > 0.1 && d < 0.5, "dense duty out of range: {d:.3}");

@@ -78,14 +78,9 @@ fn run_one(
     (history, report.survival_or_horizon())
 }
 
-/// Runs both managements serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig13 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs both managements, sharing one synthesized trace and fanning the
 /// two schemes across workers.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig13 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig13 {
     let machines = SimConfig::paper_default(Scheme::Ps)
         .topology
         .total_servers();
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn smoke_pad_balances_and_survives_longer() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         assert!(
             fig.improvement() >= 1.0,
             "PAD must not survive less: {:.2}x",

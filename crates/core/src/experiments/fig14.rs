@@ -99,14 +99,9 @@ fn run_one(
     )
 }
 
-/// Runs the experiment serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig14 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the experiment, synthesizing the surging trace once and fanning
 /// the two schemes across workers.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig14 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig14 {
     let machines = SimConfig::paper_default(Scheme::Ps)
         .topology
         .total_servers();
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn smoke_shedding_is_bounded_and_helps() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         assert!(
             fig.peak_shed_ratio() <= 3.0 + 1e-9,
             "shed ratio {:.2}% exceeded the 3% cap",

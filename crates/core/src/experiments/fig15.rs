@@ -109,16 +109,11 @@ fn survival_from(
     (report.survival_or_horizon(), report.survival().is_none())
 }
 
-/// Runs the whole figure serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig15 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the whole figure, fanning every `(scheme, scenario, seed)` run
 /// across `jobs` workers. The per-seed background trace is synthesized
 /// once and shared; every run reseeds its own noise from `seed`, so the
 /// table is byte-identical to the serial path for any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig15 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig15 {
     let cells = matrix(fidelity);
     let schemes: &[Scheme] = if fidelity.is_smoke() {
         &[Scheme::Conv, Scheme::Ps, Scheme::Pad]
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn smoke_run_orders_schemes() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         let conv = fig.average_of(Scheme::Conv).unwrap();
         let pad = fig.average_of(Scheme::Pad).unwrap();
         assert!(

@@ -150,14 +150,9 @@ fn sweep(
     }
 }
 
-/// Runs both panels serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig16 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs both panels, sharing one synthesized trace per seed and fanning
 /// every `(scheme, point, seed)` run across `jobs` workers.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig16 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig16 {
     // Panel A: attack rate = spike duty cycle, 2 s spikes. 16%..50% duty
     // maps to 4.8..15 spikes/min.
     let width_a = SimDuration::from_secs(2);
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn smoke_pad_throughput_dominates_conv() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         let pad = fig.by_rate.column(Scheme::Pad).unwrap();
         let conv = fig.by_rate.column(Scheme::Conv).unwrap();
         for (p, c) in pad.iter().zip(conv) {

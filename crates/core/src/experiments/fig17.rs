@@ -100,14 +100,9 @@ fn survival_with_fraction(
     (farads, cost_ratio, report.survival_or_horizon())
 }
 
-/// Runs the capacity sweep serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Fig17 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the capacity sweep, sharing one synthesized trace (every point
 /// uses seed 1) and fanning the fractions across `jobs` workers.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Fig17 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Fig17 {
     let fractions: Vec<f64> = if fidelity.is_smoke() {
         vec![0.01, 0.10]
     } else {
@@ -181,7 +176,7 @@ mod tests {
 
     #[test]
     fn smoke_capacity_helps_monotonically() {
-        let fig = run(Fidelity::Smoke);
+        let fig = run(Fidelity::Smoke, 1);
         assert_eq!(fig.points.len(), 2);
         assert!(
             fig.points[1].survival >= fig.points[0].survival,

@@ -137,52 +137,52 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fig08_attack_stats",
         reproduces: "Figure 8 A/B/C (attack statistics)",
-        run: |f, jobs| (fig08::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig08::run(f, jobs).render(), true),
     },
     Experiment {
         name: "table1_detection",
         reproduces: "Table I (detection rates)",
-        run: |f, jobs| (table1::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (table1::run(f, jobs).render(), true),
     },
     Experiment {
         name: "detect_rates",
         reproduces: "Table I extension (detector bank)",
-        run: |f, jobs| (detect_rates::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (detect_rates::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig12_traces",
         reproduces: "Figure 12 (collected traces)",
-        run: |f, jobs| (fig12::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig12::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig13_heatmap",
         reproduces: "Figure 13 (DEB usage maps)",
-        run: |f, jobs| (fig13::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig13::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig14_shedding",
         reproduces: "Figure 14 (load shedding)",
-        run: |f, jobs| (fig14::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig14::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig15_survival",
         reproduces: "Figure 15 (survival time)",
-        run: |f, jobs| (fig15::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig15::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig16_throughput",
         reproduces: "Figure 16 A/B (throughput)",
-        run: |f, jobs| (fig16::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig16::run(f, jobs).render(), true),
     },
     Experiment {
         name: "fig17_cost",
         reproduces: "Figure 17 (cost efficiency)",
-        run: |f, jobs| (fig17::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fig17::run(f, jobs).render(), true),
     },
     Experiment {
         name: "ablations",
         reproduces: "design-choice sensitivity (beyond the paper)",
-        run: |f, jobs| (ablation::run_all_with_jobs(f, jobs), true),
+        run: |f, jobs| (ablation::run_all(f, jobs), true),
     },
     Experiment {
         name: "validate_platform",
@@ -200,7 +200,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fault_tolerance",
         reproduces: "watchdog fallback vs frozen plans (robustness extension)",
-        run: |f, jobs| (fault_tolerance::run_with_jobs(f, jobs).render(), true),
+        run: |f, jobs| (fault_tolerance::run(f, jobs).render(), true),
     },
 ];
 

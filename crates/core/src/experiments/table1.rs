@@ -168,16 +168,11 @@ fn detection_rate(
     detected as f64 / spikes as f64
 }
 
-/// Runs the full table serially; see [`run_with_jobs`].
-pub fn run(fidelity: Fidelity) -> Table1 {
-    run_with_jobs(fidelity, 1)
-}
-
 /// Runs the full table, fanning the calibration run and every attack
 /// column across `jobs` workers over one shared testbed trace. Each run
 /// reseeds its own noise from its column parameters, so the table is
 /// identical for any worker count.
-pub fn run_with_jobs(fidelity: Fidelity, jobs: usize) -> Table1 {
+pub fn run(fidelity: Fidelity, jobs: usize) -> Table1 {
     let window = if fidelity.is_smoke() {
         SimDuration::from_mins(5)
     } else {
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn smoke_detection_shape() {
-        let t = run(Fidelity::Smoke);
+        let t = run(Fidelity::Smoke, 1);
         let weak = AttackColumn {
             servers: 1,
             width_secs: 1,

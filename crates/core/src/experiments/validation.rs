@@ -113,7 +113,7 @@ pub fn battery_absorbs_spikes(fidelity: Fidelity) -> Check {
 /// Premise 4: coarse metering is blind to sparse single-node spikes
 /// (Table I's foundation) while the spikes are electrically real.
 pub fn coarse_metering_is_blind(fidelity: Fidelity) -> Check {
-    let table = crate::experiments::table1::run(fidelity);
+    let table = crate::experiments::table1::run(fidelity, 1);
     let weak = crate::experiments::table1::AttackColumn {
         servers: 1,
         width_secs: 1,

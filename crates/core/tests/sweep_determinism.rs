@@ -78,8 +78,8 @@ fn survival_sweep_is_bit_identical_across_worker_counts() {
 #[test]
 fn fig08_parallel_render_is_byte_identical() {
     use pad::experiments::{fig08, Fidelity};
-    let serial = fig08::run(Fidelity::Smoke);
-    let parallel = fig08::run_with_jobs(Fidelity::Smoke, 4);
+    let serial = fig08::run(Fidelity::Smoke, 1);
+    let parallel = fig08::run(Fidelity::Smoke, 4);
     assert_eq!(serial, parallel, "Fig08 datasets diverged");
     assert_eq!(
         serial.render(),

@@ -45,6 +45,6 @@ fn main() {
     );
 
     println!("\n== Survival vs capacity (reduced Figure 17) ==\n");
-    let fig = fig17::run(Fidelity::Smoke);
+    let fig = fig17::run(Fidelity::Smoke, 1);
     print!("{}", fig.render());
 }

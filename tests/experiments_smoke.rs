@@ -40,7 +40,7 @@ fn fig07_effective_attack_demo() {
 
 #[test]
 fn fig08_attack_statistics() {
-    let fig = fig08::run(Fidelity::Smoke);
+    let fig = fig08::run(Fidelity::Smoke, 1);
     assert!(!fig.height.cells.is_empty());
     assert!(!fig.width.cells.is_empty());
     assert!(!fig.frequency.cells.is_empty());
@@ -49,7 +49,7 @@ fn fig08_attack_statistics() {
 
 #[test]
 fn table1_detection_rates_are_probabilities() {
-    let t = table1::run(Fidelity::Smoke);
+    let t = table1::run(Fidelity::Smoke, 1);
     for (_, row) in &t.rates {
         for &r in row {
             assert!((0.0..=1.0).contains(&r), "rate {r} out of range");
@@ -59,33 +59,33 @@ fn table1_detection_rates_are_probabilities() {
 
 #[test]
 fn fig12_trace_examples() {
-    let fig = fig12::run(Fidelity::Smoke);
+    let fig = fig12::run(Fidelity::Smoke, 1);
     let (dense, sparse) = fig.peak_time_fraction();
     assert!(dense > sparse);
 }
 
 #[test]
 fn fig13_usage_maps() {
-    let fig = fig13::run(Fidelity::Smoke);
+    let fig = fig13::run(Fidelity::Smoke, 1);
     assert!(fig.improvement() >= 1.0);
 }
 
 #[test]
 fn fig14_shedding_cap() {
-    let fig = fig14::run(Fidelity::Smoke);
+    let fig = fig14::run(Fidelity::Smoke, 1);
     assert!(fig.peak_shed_ratio() <= 3.0 + 1e-9);
 }
 
 #[test]
 fn fig15_survival_table() {
-    let fig = fig15::run(Fidelity::Smoke);
+    let fig = fig15::run(Fidelity::Smoke, 1);
     assert!(fig.average_of(Scheme::Pad).unwrap() >= fig.average_of(Scheme::Conv).unwrap());
     assert!(fig.render().contains("Avg"));
 }
 
 #[test]
 fn fig16_throughput_bounds() {
-    let fig = fig16::run(Fidelity::Smoke);
+    let fig = fig16::run(Fidelity::Smoke, 1);
     for (_, ys) in &fig.by_width.columns {
         for &y in ys {
             assert!((0.0..=1.0).contains(&y), "throughput {y} out of range");
@@ -95,7 +95,7 @@ fn fig16_throughput_bounds() {
 
 #[test]
 fn fig17_capacity_sweep() {
-    let fig = fig17::run(Fidelity::Smoke);
+    let fig = fig17::run(Fidelity::Smoke, 1);
     assert!(fig.survival_span() >= 1.0);
     for w in fig.points.windows(2) {
         assert!(
@@ -109,11 +109,11 @@ fn fig17_capacity_sweep() {
 fn experiment_outputs_are_reproducible() {
     // The whole experiment layer is seeded: two runs must render
     // byte-identical output.
-    let a = fig12::run(Fidelity::Smoke).render();
-    let b = fig12::run(Fidelity::Smoke).render();
+    let a = fig12::run(Fidelity::Smoke, 1).render();
+    let b = fig12::run(Fidelity::Smoke, 1).render();
     assert_eq!(a, b);
-    let a = fig08::run(Fidelity::Smoke).render();
-    let b = fig08::run(Fidelity::Smoke).render();
+    let a = fig08::run(Fidelity::Smoke, 1).render();
+    let b = fig08::run(Fidelity::Smoke, 1).render();
     assert_eq!(a, b);
 }
 
@@ -133,7 +133,7 @@ fn validation_premises_hold_at_smoke_scale() {
 
 #[test]
 fn ablation_suite_renders() {
-    let text = pad::experiments::ablation::run_all(Fidelity::Smoke);
+    let text = pad::experiments::ablation::run_all(Fidelity::Smoke, 1);
     for needle in [
         "P_ideal",
         "protective reserve",
