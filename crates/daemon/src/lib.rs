@@ -33,7 +33,7 @@
 //! * [`server`] — one blocking acceptor per listener, a thread per
 //!   connection, graceful shutdown with per-tenant output flush;
 //! * [`client`] — the `send`/`get` helpers the CLI and CI use, plus
-//!   the crash-tolerant [`send_resumable`](client::send_resumable)
+//!   the crash-tolerant [`send_resumable`]
 //!   reconnect-and-rewind path;
 //! * [`chaos`] — the wire-level fault-injection harness behind
 //!   `padsimd chaos`: kill/restart and proxy-fault scenarios diffed

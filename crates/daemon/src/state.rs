@@ -501,7 +501,7 @@ impl Tenant {
     /// out (re-parsing the same line yields the identical record). The
     /// capture only applies while the cache is caught up — it always
     /// is on the live path; a caller that bypassed it falls back to
-    /// [`refresh_ckpt_caches`](Tenant::refresh_ckpt_caches) rendering.
+    /// `refresh_ckpt_caches` rendering.
     pub fn ingest_record_wire(&mut self, line: &str, r: ParsedRecord) -> bool {
         let caught_up = self.ckpt_records.1 == self.records.len();
         let ticked = self.ingest_record(r);
