@@ -1686,6 +1686,9 @@ fn attack_trace(args: &Args, config: &SimConfig, horizon: SimTime) -> ClusterTra
     synth.generate_direct(args.seed)
 }
 
+/// The attack the main command and `fault` install: `--nodes` servers
+/// of `--style` and `--class`; with `--escalate` the attacker acquires
+/// more nodes every 5 minutes.
 fn attack_scenario(args: &Args) -> AttackScenario {
     if args.nodes == 0 {
         fail("--nodes must be at least 1");
