@@ -59,11 +59,14 @@ fn paper_session() -> String {
     record(SimConfig::paper_default(Scheme::Pad), 1_000)
 }
 
-/// The paper-scale session, parsed: the shape a scrape digests for each
-/// finished tenant. The small testbed's 200 ticks hold too few samples
-/// per metric to show a cost that grows faster than linearly.
-fn paper_session_records() -> Vec<ParsedRecord> {
-    parse_lossy(&paper_session(), Format::Jsonl).records
+/// The paper-scale session, parsed and owned: the shape a scrape
+/// digests for each finished tenant. The small testbed's 200 ticks hold
+/// too few samples per metric to show a cost that grows faster than
+/// linearly.
+fn paper_session_records() -> Vec<ParsedRecord<'static>> {
+    let text = paper_session();
+    let records = parse_lossy(&text, Format::Jsonl).records;
+    records.into_iter().map(ParsedRecord::into_owned).collect()
 }
 
 /// A recorded telemetry stream from the small testbed: the payload

@@ -36,7 +36,7 @@ fn run_slice(mut sim: ClusterSim) -> ClusterSim {
 }
 
 /// A recorded trace to replay: the same slice with telemetry on.
-fn recorded_trace() -> (usize, Vec<ParsedRecord>) {
+fn recorded_trace() -> (usize, Vec<ParsedRecord<'static>>) {
     let mut sim = built_sim();
     let racks = sim.rack_socs().len();
     sim.enable_telemetry(1 << 20);
@@ -45,8 +45,12 @@ fn recorded_trace() -> (usize, Vec<ParsedRecord>) {
         sim.step(SimDuration::from_millis(100));
     }
     let dump = sim.take_telemetry().expect("telemetry enabled");
-    let records = parse(&dump.to_jsonl(), Format::Jsonl).expect("own dump parses");
-    (racks, records)
+    let text = dump.to_jsonl();
+    let records = parse(&text, Format::Jsonl).expect("own dump parses");
+    (
+        racks,
+        records.into_iter().map(ParsedRecord::into_owned).collect(),
+    )
 }
 
 fn bench_detect(c: &mut Criterion) {

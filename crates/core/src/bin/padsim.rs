@@ -363,7 +363,8 @@ fn run_inspect(mut flags: Flags) -> ! {
         }
     }
     let path = path.unwrap_or_else(|| fail("inspect requires a trace file path"));
-    let records = read_records(&path, format);
+    let text = read_file(&path);
+    let records = parse_records(&path, &text, format);
     if let Some(rules) = alerts {
         let rules = if rules == "default" {
             pad::pipeline::default_alert_rules()
@@ -412,13 +413,23 @@ fn print_fault_windows(records: &[ParsedRecord]) {
     let mut rows: Vec<(f64, String, Option<u64>, Option<u64>)> = Vec::new();
     for edge in &edges {
         if edge.name == "fault_injected" {
-            rows.push((edge.value, edge.source.clone(), Some(edge.time_ms), None));
+            rows.push((
+                edge.value,
+                edge.source.to_string(),
+                Some(edge.time_ms),
+                None,
+            ));
         } else if let Some(slot) = rows.iter_mut().find(|(value, source, _, close)| {
             close.is_none() && *value == edge.value && *source == edge.source
         }) {
             slot.3 = Some(edge.time_ms);
         } else {
-            rows.push((edge.value, edge.source.clone(), None, Some(edge.time_ms)));
+            rows.push((
+                edge.value,
+                edge.source.to_string(),
+                None,
+                Some(edge.time_ms),
+            ));
         }
     }
     let fmt = |ms: Option<u64>| {
@@ -524,10 +535,12 @@ fn run_incident(mut flags: Flags) -> ! {
             let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
             file.with_file_name(name.replace(".spans.", "."))
         };
-        let telemetry = std::fs::read_to_string(&telemetry_path)
-            .ok()
-            .and_then(|t| parse(&t, Format::from_path(&telemetry_path.to_string_lossy())).ok())
-            .unwrap_or_default();
+        let telemetry_text = std::fs::read_to_string(&telemetry_path).unwrap_or_default();
+        let telemetry = parse(
+            &telemetry_text,
+            Format::from_path(&telemetry_path.to_string_lossy()),
+        )
+        .unwrap_or_default();
         let incidents = pad::pipeline::reconstruct(&spans, &telemetry);
         if json {
             print!("{}", render_report_json(&incidents));
@@ -618,7 +631,8 @@ fn run_detect(mut flags: Flags) -> ! {
     // the same code path the padsimd daemon runs per streamed session,
     // so the two stay byte-identical by construction.
     if let Some(path) = replay {
-        let records = read_records(&path, format);
+        let text = read_file(&path);
+        let records = parse_records(&path, &text, format);
         let racks = racks_override.unwrap_or_else(|| {
             pad::pipeline::try_infer_racks(&records)
                 .unwrap_or_else(|| fail("trace has no rack-NN.draw_w samples; pass --racks <N>"))
@@ -642,7 +656,18 @@ fn run_detect(mut flags: Flags) -> ! {
     let racks = config.topology.racks();
     let scenario = AttackScenario::new(style, class, nodes).immediate();
     let attack_at = SimTime::ZERO + LEAD_IN;
-    let horizon = attack_at + SimDuration::from_mins(duration_mins);
+    let horizon = after_minutes(attack_at, duration_mins, "--duration-mins");
+    let dt = SimDuration::from_millis(100);
+    // The run is bounded like a synthetic trace: servers × ticks.
+    let ticks = horizon.saturating_since(SimTime::ZERO) / dt;
+    let servers = config.topology.total_servers() as u64;
+    if servers.saturating_mul(ticks) > SynthConfig::MAX_SAMPLES {
+        fail(&format!(
+            "--duration-mins is too large: {servers} servers x {ticks} ticks is above the cap \
+             of {} samples",
+            SynthConfig::MAX_SAMPLES
+        ));
+    }
     let windows = scenario.ground_truth(attack_at, horizon);
     let mut sim = new_sim(config, testbed_trace(seed), seed);
     sim.enable_detection(DetectConfig::default());
@@ -654,7 +679,6 @@ fn run_detect(mut flags: Flags) -> ! {
         windows.spike_count()
     );
 
-    let dt = SimDuration::from_millis(100);
     let mut t = SimTime::ZERO;
     let mut verdicts = Vec::new();
     while t < horizon {
@@ -697,7 +721,8 @@ fn run_detect(mut flags: Flags) -> ! {
     // fresh stack must reproduce the live firing log byte for byte.
     let live_firings = stack.bank().render_firings();
     let dump = sim.take_telemetry().expect("telemetry enabled");
-    let records = match parse(&dump.serialize(Format::Jsonl), Format::Jsonl) {
+    let text = dump.serialize(Format::Jsonl);
+    let records = match parse(&text, Format::Jsonl) {
         Ok(records) => records,
         Err(e) => fail(&format!("telemetry round-trip: {e}")),
     };
@@ -805,10 +830,14 @@ fn run_fault(mut flags: Flags) -> ! {
     } else {
         DegradedConfig::for_grant_interval(config.grant_interval)
     };
-    let attack_at = SimTime::from_mins(args.attack_at_mins);
-    let horizon = attack_at + SimDuration::from_mins(args.duration_mins);
+    let (attack_at, horizon) = attack_window(&args);
     let scenario = attack_scenario(&args);
-    let trace = attack_trace(&args, &config, horizon);
+    let trace = attack_trace(
+        &args,
+        &config,
+        horizon,
+        "--attack-at-mins and --duration-mins",
+    );
     let grant_interval = config.grant_interval;
     let mut sim = new_sim(config, trace, args.seed);
     // Unlike the plain attack run, telemetry and spans start at t=0:
@@ -1311,12 +1340,30 @@ fn run_perf(mut flags: Flags) -> ! {
     }
 
     let dt = SimDuration::from_millis(100);
-    let horizon = SimTime::ZERO + dt * ticks;
+    let horizon = ticks
+        .checked_mul(dt.as_millis())
+        .map(SimTime::from_millis)
+        .unwrap_or_else(|| {
+            fail(&format!(
+                "--ticks is too large: {ticks} ticks run past the simulation clock"
+            ))
+        });
     // Attack at a quarter of the horizon: the measured loop spends most
     // of its ticks inside the defended (interesting) regime, with enough
     // quiet lead-in that the warm path is represented too.
     let attack_at = SimTime::ZERO + dt * (ticks / 4);
     let config = build_config(&args, Scheme::Pad);
+    let synth = SynthConfig {
+        machines: config.topology.total_servers(),
+        horizon: horizon + SimDuration::from_mins(2),
+        // Short perf horizons must still cover whole trace steps, so
+        // resample the workload on a one-minute clock.
+        step: SimDuration::from_mins(1),
+        mean_utilization: args.mean_util,
+        machine_bias_std: 0.04,
+        ..SynthConfig::google_may2010()
+    };
+    validate_trace(&synth, "--racks, --servers and --ticks");
 
     println!(
         "padsim perf: {} scheme scenario(s), {} racks x {} servers, {} ticks @ {} ms, \
@@ -1332,17 +1379,7 @@ fn run_perf(mut flags: Flags) -> ! {
     // sweep.parse: synthesizing (or in trace-driven setups, parsing) the
     // shared cluster trace — done once per sweep, not once per scenario.
     let parse_start = Instant::now();
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: horizon + SimDuration::from_mins(2),
-        // Short perf horizons must still cover whole trace steps, so
-        // resample the workload on a one-minute clock.
-        step: SimDuration::from_mins(1),
-        mean_utilization: args.mean_util,
-        machine_bias_std: 0.04,
-        ..SynthConfig::google_may2010()
-    }
-    .generate_direct(args.seed);
+    let trace = synth.generate_direct(args.seed);
     let parse_wall = parse_start.elapsed();
 
     let scenario = AttackScenario::new(AttackStyle::Dense, VirusClass::CpuIntensive, 4);
@@ -1549,11 +1586,11 @@ fn scheme_key(scheme: Scheme) -> &'static str {
     }
 }
 
-/// Reads a recorded telemetry trace, in `format` or the one its
-/// extension names.
-fn read_records(path: &Path, format: Option<Format>) -> Vec<ParsedRecord> {
+/// Parses the recorded telemetry trace `text` read from `path`, in
+/// `format` or the one the path's extension names.
+fn parse_records<'a>(path: &Path, text: &'a str, format: Option<Format>) -> Vec<ParsedRecord<'a>> {
     let format = format.unwrap_or_else(|| Format::from_path(&path.to_string_lossy()));
-    match parse(&read_file(path), format) {
+    match parse(text, format) {
         Ok(records) => records,
         Err(e) => fail(&format!("{}: {e}", path.display())),
     }
@@ -1652,6 +1689,12 @@ fn build_config(args: &Args, scheme: Scheme) -> SimConfig {
     if args.servers == 0 {
         fail("--servers must be at least 1");
     }
+    if args.racks.checked_mul(args.servers).is_none() {
+        fail(&format!(
+            "--racks and --servers are too large: {} x {} servers overflow a count",
+            args.racks, args.servers
+        ));
+    }
     let server = ServerSpec::hp_proliant_dl585_g5();
     let nameplate = server.peak * args.servers as f64;
     let config = SimConfig {
@@ -1671,8 +1714,9 @@ fn build_config(args: &Args, scheme: Scheme) -> SimConfig {
 }
 
 /// The synthetic workload an attack run plays (the main command and
-/// `fault`), ten minutes longer than its horizon.
-fn attack_trace(args: &Args, config: &SimConfig, horizon: SimTime) -> ClusterTrace {
+/// `fault`), ten minutes longer than its horizon. `sized_by` names the
+/// flags that size it.
+fn attack_trace(args: &Args, config: &SimConfig, horizon: SimTime, sized_by: &str) -> ClusterTrace {
     let synth = SynthConfig {
         machines: config.topology.total_servers(),
         horizon: horizon + SimDuration::from_mins(10),
@@ -1680,10 +1724,41 @@ fn attack_trace(args: &Args, config: &SimConfig, horizon: SimTime) -> ClusterTra
         machine_bias_std: 0.04,
         ..SynthConfig::google_may2010()
     };
+    validate_trace(&synth, sized_by);
+    synth.generate_direct(args.seed)
+}
+
+/// Fails unless `synth` is a trace to generate: one above
+/// [`SynthConfig::MAX_SAMPLES`] names `sized_by`, the flags that sized
+/// it, and any other fault is `--mean-util`'s, the one other flag that
+/// reaches it.
+fn validate_trace(synth: &SynthConfig, sized_by: &str) {
     if let Err(e) = synth.validate() {
+        if synth.samples() > SynthConfig::MAX_SAMPLES {
+            fail(&format!("{sized_by} ask for too large a trace: {e}"));
+        }
         fail(&format!("invalid --mean-util: {e}"));
     }
-    synth.generate_direct(args.seed)
+}
+
+/// `start` plus `mins` minutes, failing with a message that names `flag`
+/// when the sum runs past the simulation clock.
+fn after_minutes(start: SimTime, mins: u64, flag: &str) -> SimTime {
+    mins.checked_mul(SimDuration::MINUTE.as_millis())
+        .and_then(|ms| start.checked_add(SimDuration::from_millis(ms)))
+        .unwrap_or_else(|| {
+            fail(&format!(
+                "{flag} is too large: {mins} minutes run past the simulation clock"
+            ))
+        })
+}
+
+/// The attack time and horizon of `--attack-at-mins` and
+/// `--duration-mins` (the main command and `fault`).
+fn attack_window(args: &Args) -> (SimTime, SimTime) {
+    let attack_at = after_minutes(SimTime::ZERO, args.attack_at_mins, "--attack-at-mins");
+    let horizon = after_minutes(attack_at, args.duration_mins, "--duration-mins");
+    (attack_at, horizon)
 }
 
 /// The attack the main command and `fault` install: `--nodes` servers
@@ -1866,10 +1941,14 @@ fn main() {
 /// scheme, or under every scheme with `--scheme all`.
 fn run_attack(args: &Args) {
     let config = build_config(args, args.scheme);
-    let attack_at = SimTime::from_mins(args.attack_at_mins);
-    let horizon = attack_at + SimDuration::from_mins(args.duration_mins);
+    let (attack_at, horizon) = attack_window(args);
     let scenario = attack_scenario(args);
-    let trace = attack_trace(args, &config, horizon);
+    let trace = attack_trace(
+        args,
+        &config,
+        horizon,
+        "--racks, --servers, --attack-at-mins and --duration-mins",
+    );
     if args.all_schemes {
         return run_comparison(args, scenario, trace, attack_at, horizon);
     }

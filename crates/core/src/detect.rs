@@ -732,11 +732,11 @@ mod tests {
         "breaker_margin",
     ];
 
-    fn sample(time_ms: u64, name: String, value: f64) -> ParsedRecord {
+    fn sample(time_ms: u64, name: String, value: f64) -> ParsedRecord<'static> {
         ParsedRecord {
             time_ms,
-            name,
-            source: String::new(),
+            name: name.into(),
+            source: "".into(),
             value,
             is_event: false,
         }
@@ -746,7 +746,7 @@ mod tests {
     /// recording holds it: 8 gauges per rack, then the cluster's 2. Each
     /// tick's samples form one inner vector. Rack 1's draw (and with it
     /// the cluster's) jumps for ticks 120..140, so detectors fire.
-    fn two_rack_ticks(ticks: u64) -> Vec<Vec<ParsedRecord>> {
+    fn two_rack_ticks(ticks: u64) -> Vec<Vec<ParsedRecord<'static>>> {
         let mut rng = simkit::rng::RngStream::new(7);
         (0..ticks)
             .map(|i| {
@@ -869,8 +869,8 @@ mod tests {
                 at,
                 ParsedRecord {
                     time_ms: t,
-                    name: "breaker_trip".to_string(),
-                    source: "rack-00.draw_w".to_string(),
+                    name: "breaker_trip".into(),
+                    source: "rack-00.draw_w".into(),
                     value: 1.0,
                     is_event: true,
                 },

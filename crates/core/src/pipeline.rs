@@ -681,7 +681,7 @@ mod tests {
     use super::*;
     use simkit::telemetry::{parse, Format};
 
-    fn quiet_trace(ticks: u64) -> Vec<ParsedRecord> {
+    fn quiet_trace(ticks: u64) -> Vec<ParsedRecord<'static>> {
         let mut text = String::new();
         for i in 0..ticks {
             let t = i * 100;
@@ -696,7 +696,8 @@ mod tests {
                 "{{\"t\":{t},\"m\":\"cluster.draw_w\",\"v\":100}}\n"
             ));
         }
-        parse(&text, Format::Jsonl).unwrap()
+        let records = parse(&text, Format::Jsonl).unwrap();
+        records.into_iter().map(ParsedRecord::into_owned).collect()
     }
 
     #[test]
@@ -831,7 +832,7 @@ mod tests {
         )
     }
 
-    fn spiky_trace() -> Vec<ParsedRecord> {
+    fn spiky_trace() -> Vec<ParsedRecord<'static>> {
         let mut text = String::new();
         for i in 0..120u64 {
             let v = if i < 80 {
@@ -847,7 +848,8 @@ mod tests {
                 "{{\"t\":{t},\"m\":\"cluster.draw_w\",\"v\":{v}}}\n"
             ));
         }
-        parse(&text, Format::Jsonl).unwrap()
+        let records = parse(&text, Format::Jsonl).unwrap();
+        records.into_iter().map(ParsedRecord::into_owned).collect()
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn alert_schema_matches_the_pinned_file() {
 }
 
 /// Records the §V testbed under a sparse attack (the same scenario the
-/// daemon goldens stream) and returns the parsed records.
-fn recorded_records(seed: u64) -> Vec<ParsedRecord> {
+/// daemon goldens stream) and returns the parsed records, owned.
+fn recorded_records(seed: u64) -> Vec<ParsedRecord<'static>> {
     let mut sim = ClusterSim::new(testbed_config(Scheme::Pad), testbed_trace(seed)).unwrap();
     sim.reseed_noise(seed ^ 0x5EED);
     sim.enable_detection(DetectConfig::default());
@@ -46,7 +46,8 @@ fn recorded_records(seed: u64) -> Vec<ParsedRecord> {
         t += dt;
     }
     let telemetry = sim.take_telemetry().unwrap().serialize(Format::Jsonl);
-    parse(&telemetry, Format::Jsonl).unwrap()
+    let records = parse(&telemetry, Format::Jsonl).unwrap();
+    records.into_iter().map(ParsedRecord::into_owned).collect()
 }
 
 fn alerts_for(records: &[ParsedRecord]) -> String {

@@ -59,7 +59,8 @@ fn live_and_replayed_firing_logs_are_byte_identical() {
     let dump = sim.take_telemetry().unwrap();
 
     for format in [Format::Jsonl, Format::Csv] {
-        let records = parse(&dump.serialize(format), format).unwrap();
+        let text = dump.serialize(format);
+        let records = parse(&text, format).unwrap();
         let mut fresh = SimDetectors::new(1, DetectConfig::default());
         let replayed = fresh.replay(&records);
         assert_eq!(

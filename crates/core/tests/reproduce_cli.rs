@@ -292,3 +292,60 @@ fn mean_util_outside_0_1_exits_2() {
         );
     }
 }
+
+/// A size flag too large for the simulation clock, or for the trace
+/// sample cap, is refused before anything is printed, allocated or
+/// stepped.
+#[test]
+fn oversized_runs_exit_2_naming_the_flag() {
+    const MAX: &str = "18446744073709551615";
+    let past_the_clock = |flag: &str| {
+        format!("error: {flag} is too large: {MAX} minutes run past the simulation clock")
+    };
+    let cases: [(&[&str], String); 9] = [
+        (&["--duration-mins", MAX], past_the_clock("--duration-mins")),
+        (
+            &["--attack-at-mins", MAX],
+            past_the_clock("--attack-at-mins"),
+        ),
+        (
+            &["fault", "--duration-mins", MAX],
+            past_the_clock("--duration-mins"),
+        ),
+        (
+            &["fault", "--attack-at-mins", MAX],
+            past_the_clock("--attack-at-mins"),
+        ),
+        (
+            &["detect", "--duration-mins", MAX],
+            past_the_clock("--duration-mins"),
+        ),
+        (
+            &["perf", "--ticks", MAX, "--racks", "1", "--servers", "1"],
+            format!("error: --ticks is too large: {MAX} ticks run past the simulation clock"),
+        ),
+        (
+            &["--racks", "100000", "--servers", "100000"],
+            "error: --racks, --servers, --attack-at-mins and --duration-mins ask for too large \
+             a trace: 10000000000 machines x 20 samples is above the cap of 100000000 samples"
+                .to_string(),
+        ),
+        (
+            &["--racks", "4294967296", "--servers", "4294967296"],
+            "error: --racks and --servers are too large: 4294967296 x 4294967296 servers \
+             overflow a count"
+                .to_string(),
+        ),
+        (
+            &["detect", "--duration-mins", "100000000"],
+            "error: --duration-mins is too large: 5 servers x 60000000600 ticks is above the cap \
+             of 100000000 samples"
+                .to_string(),
+        ),
+    ];
+    for (args, line) in &cases {
+        let run = padsim(args);
+        assert_refused(&run, line);
+        assert!(run.stdout.is_empty(), "{args:?} printed before failing");
+    }
+}

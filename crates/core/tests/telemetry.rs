@@ -123,7 +123,8 @@ fn wire_schema_matches_checked_in_list() {
     sim.enable_telemetry(1 << 16);
     sim.run(SimTime::from_secs(10), SimDuration::SECOND, false);
     let dump = sim.take_telemetry().unwrap();
-    let records = parse(&dump.to_jsonl(), Format::Jsonl).unwrap();
+    let text = dump.to_jsonl();
+    let records = parse(&text, Format::Jsonl).unwrap();
     let observed = TelemetryReport::from_records(&records);
     assert_eq!(
         observed.metric_names(),

@@ -39,7 +39,8 @@ fn incident_reconstruction_recovers_the_two_phase_attack() {
     let span_dump = sim.take_trace().unwrap();
     let telemetry_dump = sim.take_telemetry().unwrap();
     let spans = parse_spans(&span_dump.to_jsonl(), Format::Jsonl).unwrap();
-    let records = parse(&telemetry_dump.to_jsonl(), Format::Jsonl).unwrap();
+    let telemetry = telemetry_dump.to_jsonl();
+    let records = parse(&telemetry, Format::Jsonl).unwrap();
 
     // The Phase-II spike span is parented under the Phase-I drain span,
     // even though the drain has closed by the time the spikes begin.

@@ -278,9 +278,10 @@ fn run_session_inner<S: Read + Write>(stream: S, state: &DaemonState) -> io::Res
 }
 
 /// A data line as the codec read it, before it is committed under the
-/// tenant's lock.
+/// tenant's lock. A record holds its own copy of its name, made here,
+/// outside the lock.
 enum Parsed {
-    Record(ParsedRecord),
+    Record(ParsedRecord<'static>),
     Span(ParsedSpan),
     /// A line the codec or the framing rejected.
     Malformed,
@@ -428,7 +429,8 @@ impl Session<'_> {
         let parsed = if is_span {
             parse_span_line(text, self.line_no, self.format).map_or(Parsed::Malformed, Parsed::Span)
         } else {
-            parse_line(text, self.line_no, self.format).map_or(Parsed::Malformed, Parsed::Record)
+            parse_line(text, self.line_no, self.format)
+                .map_or(Parsed::Malformed, |r| Parsed::Record(r.into_owned()))
         };
         self.commit(text, parsed);
         None

@@ -242,14 +242,15 @@ pub struct Tenant {
     pub name: String,
     /// Wire format of the tenant's data lines.
     pub format: Format,
-    /// Every accepted telemetry record, in arrival order. Private: the
-    /// scrape digest and the checkpoint caches each cover a prefix of
-    /// it, so only the tenant's own methods may write it.
-    records: Vec<ParsedRecord>,
+    /// Every accepted telemetry record, in arrival order, each with its
+    /// own copy of its name. Private: the scrape digest and the
+    /// checkpoint caches each cover a prefix of it, so only the
+    /// tenant's own methods may write it.
+    records: Vec<ParsedRecord<'static>>,
     /// Every accepted span line, in arrival order.
     pub spans: Vec<ParsedSpan>,
     /// Records of the still-open first tick, before racks are known.
-    pending: Vec<ParsedRecord>,
+    pending: Vec<ParsedRecord<'static>>,
     /// The live pipeline, once racks are known.
     pipeline: Option<ReplayPipeline>,
     /// The finished summary, once the stream has ended.
@@ -366,7 +367,7 @@ impl Tenant {
     }
 
     /// Every accepted telemetry record, in arrival order.
-    pub fn records(&self) -> &[ParsedRecord] {
+    pub fn records(&self) -> &[ParsedRecord<'static>] {
         &self.records
     }
 
@@ -425,8 +426,11 @@ impl Tenant {
 
     /// Feeds one record in arrival order, creating the pipeline at the
     /// first tick boundary. Returns `true` when the record closed a
-    /// detector tick — the checkpoint cadence.
-    pub fn ingest_record(&mut self, r: ParsedRecord) -> bool {
+    /// detector tick — the checkpoint cadence. The tenant keeps the
+    /// record [`into_owned`](ParsedRecord::into_owned): a borrowed name
+    /// is copied, an owned one moved.
+    pub fn ingest_record(&mut self, r: ParsedRecord<'_>) -> bool {
+        let r = r.into_owned();
         let ticks_before = self.pipeline.as_ref().map_or(0, ReplayPipeline::tick_count);
         self.feed_pipeline(&r);
         if let Some(mon) = &mut self.monitor {
@@ -442,7 +446,7 @@ impl Tenant {
     /// routes one record into the pipeline, creating it at the first
     /// tick boundary. Also the kernel of
     /// [`replay_pipeline`](Tenant::replay_pipeline).
-    fn feed_pipeline(&mut self, r: &ParsedRecord) {
+    fn feed_pipeline(&mut self, r: &ParsedRecord<'static>) {
         match &mut self.pipeline {
             Some(pipe) => pipe.ingest(r),
             None => {
@@ -502,7 +506,7 @@ impl Tenant {
     /// capture only applies while the cache is caught up — it always
     /// is on the live path; a caller that bypassed it falls back to
     /// `refresh_ckpt_caches` rendering.
-    pub fn ingest_record_wire(&mut self, line: &str, r: ParsedRecord) -> bool {
+    pub fn ingest_record_wire(&mut self, line: &str, r: ParsedRecord<'_>) -> bool {
         let caught_up = self.ckpt_records.1 == self.records.len();
         let ticked = self.ingest_record(r);
         if caught_up {
@@ -804,8 +808,9 @@ impl Tenant {
             let line = lines
                 .next()
                 .ok_or_else(|| format!("truncated after {i} of {record_count} records"))?;
-            self.records
-                .push(parse_line(line, i as usize + 2, self.format).map_err(|e| e.to_string())?);
+            let record =
+                parse_line(line, i as usize + 2, self.format).map_err(|e| e.to_string())?;
+            self.records.push(record.into_owned());
             self.ckpt_records.0.push_str(line);
             self.ckpt_records.0.push('\n');
         }
@@ -1459,7 +1464,7 @@ mod tests {
     use super::*;
     use simkit::telemetry::parse;
 
-    fn records(text: &str) -> Vec<ParsedRecord> {
+    fn records(text: &str) -> Vec<ParsedRecord<'_>> {
         parse(text, Format::Jsonl).unwrap()
     }
 
@@ -1618,7 +1623,7 @@ mod tests {
 
     /// A deterministic multi-tick, multi-rack trace with enough
     /// movement to exercise detector state.
-    fn spiky_trace(ticks: u64) -> Vec<ParsedRecord> {
+    fn spiky_trace(ticks: u64) -> Vec<ParsedRecord<'static>> {
         let mut text = String::new();
         for t in 0..ticks {
             for rack in 0..2 {
@@ -1631,6 +1636,9 @@ mod tests {
             }
         }
         records(&text)
+            .into_iter()
+            .map(ParsedRecord::into_owned)
+            .collect()
     }
 
     fn fresh_monitored(name: &str) -> Tenant {

@@ -60,12 +60,13 @@ pub fn recorded_run(seed: u64) -> RecordedRun {
     let parsed_spans = parse_spans(&spans, Format::Jsonl).unwrap();
     let racks = pipeline::try_infer_racks(&records).unwrap();
     let summary = pipeline::replay_records(racks, PipelineConfig::default(), &records);
+    let incidents_json = pipeline::reconstruct_json(&parsed_spans, &records);
     RecordedRun {
         telemetry,
         spans,
         summary_json: summary.to_json(),
         firings: summary.render_firings(),
-        incidents_json: pipeline::reconstruct_json(&parsed_spans, &records),
+        incidents_json,
     }
 }
 

@@ -113,9 +113,9 @@ impl TelemetryReport {
             if r.is_event {
                 let digest = self
                     .events
-                    .entry(r.name.clone())
+                    .entry(r.name.to_string())
                     .or_insert_with(|| EventDigest {
-                        kind: r.name.clone(),
+                        kind: r.name.to_string(),
                         count: 0,
                         sources: Vec::new(),
                         first_ms: r.time_ms,
@@ -124,24 +124,27 @@ impl TelemetryReport {
                 digest.count += 1;
                 digest.first_ms = digest.first_ms.min(r.time_ms);
                 digest.last_ms = digest.last_ms.max(r.time_ms);
-                if let Err(idx) = digest.sources.binary_search(&r.source) {
-                    digest.sources.insert(idx, r.source.clone());
+                if let Err(idx) = digest
+                    .sources
+                    .binary_search_by(|s| s.as_str().cmp(&r.source))
+                {
+                    digest.sources.insert(idx, r.source.to_string());
                 }
                 continue;
             }
             let slot = if self.slots.get(next).is_some_and(|name| *name == r.name) {
                 next
-            } else if let Some(&slot) = self.slot_of.get(&r.name) {
+            } else if let Some(&slot) = self.slot_of.get(&*r.name) {
                 slot
             } else {
                 let digest = MetricDigest {
-                    name: r.name.clone(),
+                    name: r.name.to_string(),
                     stats: OnlineStats::new(),
                     summary: Summary::new(),
                 };
-                self.metrics.insert(r.name.clone(), digest);
-                self.slot_of.insert(r.name.clone(), self.slots.len());
-                self.slots.push(r.name.clone());
+                self.metrics.insert(r.name.to_string(), digest);
+                self.slot_of.insert(r.name.to_string(), self.slots.len());
+                self.slots.push(r.name.to_string());
                 batches.push(Vec::new());
                 self.slots.len() - 1
             };
@@ -332,9 +335,9 @@ mod tests {
         for r in records.iter().filter(|r| !r.is_event) {
             let digest = report
                 .metrics
-                .entry(r.name.clone())
+                .entry(r.name.to_string())
                 .or_insert_with(|| MetricDigest {
-                    name: r.name.clone(),
+                    name: r.name.to_string(),
                     stats: OnlineStats::new(),
                     summary: Summary::new(),
                 });
@@ -386,7 +389,8 @@ mod tests {
 
     #[test]
     fn permuted_metric_order_digests_the_same() {
-        let in_order = parse(&tick_trace(|_| (0..5).collect()), Format::Jsonl).unwrap();
+        let text = tick_trace(|_| (0..5).collect());
+        let in_order = parse(&text, Format::Jsonl).unwrap();
         let mut rng = RngStream::new(15);
         let shuffled = tick_trace(|_| {
             let mut order: Vec<usize> = (0..5).collect();

@@ -122,7 +122,7 @@ pub struct Incident {
 #[derive(Debug, Clone)]
 pub struct IncidentReconstructor<'a> {
     spans: &'a [ParsedSpan],
-    telemetry: &'a [ParsedRecord],
+    telemetry: &'a [ParsedRecord<'a>],
     truth: Option<&'a GroundTruth>,
 }
 
@@ -138,7 +138,7 @@ impl<'a> IncidentReconstructor<'a> {
 
     /// Joins the parsed telemetry stream (detector firings, level
     /// changes).
-    pub fn with_telemetry(mut self, records: &'a [ParsedRecord]) -> Self {
+    pub fn with_telemetry(mut self, records: &'a [ParsedRecord<'a>]) -> Self {
         self.telemetry = records;
         self
     }

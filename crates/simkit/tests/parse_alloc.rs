@@ -1,7 +1,8 @@
-//! The telemetry codec's heap allocations. Parsing a line allocates only
-//! what the parsed record owns: the name of a sample, the name and
-//! source of an event. Keys and record-type words are matched in place.
-//! Rendering a trace allocates per call and per metric, never per
+//! The telemetry codec's heap allocations. Parsing a line allocates
+//! nothing: the record borrows its name and source from the line, and
+//! keys and record-type words are matched in place. Parsing a whole
+//! text allocates once, the record vector, reserved from its line
+//! count. Rendering a trace allocates per call and per metric, never per
 //! record.
 //!
 //! The counting allocator counts only on the thread that enables it, so
@@ -13,8 +14,8 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use simkit::telemetry::{
-    parse_line, to_jsonl, EventKind, EventRecord, Format, MetricRegistry, ParsedRecord, Record,
-    Sample,
+    parse, parse_line, parse_lossy, to_csv, to_jsonl, EventKind, EventRecord, Format,
+    MetricRegistry, ParsedRecord, Record, Sample,
 };
 use simkit::time::SimTime;
 
@@ -55,19 +56,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Parses `line` and returns the record with the heap allocations the
-/// parse made on this thread.
-fn parse_counting(line: &str, format: Format) -> (ParsedRecord, u64) {
+/// Runs `f` and returns its result with the heap allocations it made on
+/// this thread.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCATIONS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
-    let parsed = black_box(parse_line(black_box(line), 1, format));
+    let out = black_box(f());
     COUNTING.with(|c| c.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
+/// Parses `line` and returns the record with the heap allocations the
+/// parse made on this thread.
+fn parse_counting(line: &str, format: Format) -> (ParsedRecord<'_>, u64) {
+    let (parsed, allocations) = counting(|| parse_line(black_box(line), 1, format));
     let record = parsed.unwrap_or_else(|e| panic!("{line:?} is well formed: {e}"));
-    (record, ALLOCATIONS.with(Cell::get))
+    (record, allocations)
 }
 
 #[test]
-fn a_sample_line_allocates_only_its_name() {
+fn a_sample_line_parses_without_allocating() {
     for (line, format) in [
         (
             r#"{"t":1000,"m":"rack-00.draw_w","v":123.45}"#,
@@ -80,12 +88,12 @@ fn a_sample_line_allocates_only_its_name() {
         assert_eq!(record.name, "rack-00.draw_w");
         assert_eq!(record.source, "");
         assert_eq!(record.value, 123.45);
-        assert_eq!(allocations, 1, "{format:?} sample {line:?}");
+        assert_eq!(allocations, 0, "{format:?} sample {line:?}");
     }
 }
 
 #[test]
-fn an_event_line_allocates_only_its_name_and_source() {
+fn an_event_line_parses_without_allocating() {
     for (line, format) in [
         (
             r#"{"t":1000,"e":"breaker_trip","s":"rack-00","v":1}"#,
@@ -98,7 +106,7 @@ fn an_event_line_allocates_only_its_name_and_source() {
         assert_eq!(record.name, "breaker_trip");
         assert_eq!(record.source, "rack-00");
         assert_eq!(record.value, 1.0);
-        assert_eq!(allocations, 2, "{format:?} event {line:?}");
+        assert_eq!(allocations, 0, "{format:?} event {line:?}");
     }
 }
 
@@ -266,4 +274,46 @@ fn rendering_allocates_the_same_for_any_record_count() {
         counts.windows(2).all(|pair| pair[0] == pair[1]),
         "allocations per render for 10, 1,000 and 20,000 ticks: {counts:?}"
     );
+}
+
+#[test]
+fn parsing_a_recording_allocates_only_its_record_vector() {
+    for ticks in [10, 1_000, 20_000] {
+        let (registry, records) = recording(ticks);
+        for format in [Format::Jsonl, Format::Csv] {
+            let text = match format {
+                Format::Jsonl => to_jsonl(&registry, &records),
+                Format::Csv => to_csv(&registry, &records),
+            };
+            let (parsed, allocations) = counting(|| parse(black_box(&text), format));
+            assert_eq!(parsed.expect("own recording parses").len(), records.len());
+            assert_eq!(allocations, 1, "parse of {ticks} ticks, {format:?}");
+            let (lossy, allocations) = counting(|| parse_lossy(black_box(&text), format));
+            assert_eq!(lossy.records.len(), records.len());
+            assert!(lossy.errors.is_empty());
+            assert_eq!(allocations, 1, "parse_lossy of {ticks} ticks, {format:?}");
+        }
+    }
+}
+
+#[test]
+fn a_text_of_newlines_reserves_no_more_than_its_length_allows() {
+    let text = "\n".repeat(100_000);
+    for (shortest, format) in [
+        (r#"{"t":0,"m":"a","v":0}"#, Format::Jsonl),
+        ("0,sample,a,,0", Format::Csv),
+    ] {
+        parse_line(shortest, 1, format).expect("the shortest record line is well formed");
+        let cap = text.len() / shortest.len();
+        let lossy = parse_lossy(&text, format);
+        assert!(lossy.records.is_empty());
+        assert!(
+            lossy.records.capacity() <= cap,
+            "{format:?}: {} records reserved for {} newlines, cap {cap}",
+            lossy.records.capacity(),
+            text.len()
+        );
+    }
+    let records = parse(&text, Format::Jsonl).expect("blank lines parse");
+    assert!(records.capacity() <= text.len() / r#"{"t":0,"m":"a","v":0}"#.len());
 }

@@ -237,7 +237,7 @@ type TickPicks = (Vec<usize>, Vec<usize>, usize);
 
 /// A recording-shaped stream: every tick samples each metric once, in
 /// the tick's own order, from the finite values only when `finite`.
-fn report_records(ticks: &[TickPicks], finite: bool) -> Vec<ParsedRecord> {
+fn report_records(ticks: &[TickPicks], finite: bool) -> Vec<ParsedRecord<'static>> {
     let pool = if finite {
         &REPORT_POOL[..REPORT_FINITE]
     } else {
@@ -250,8 +250,8 @@ fn report_records(ticks: &[TickPicks], finite: bool) -> Vec<ParsedRecord> {
         for m in order {
             records.push(ParsedRecord {
                 time_ms: t as u64 * 100,
-                name: REPORT_METRICS[m].to_string(),
-                source: String::new(),
+                name: REPORT_METRICS[m].into(),
+                source: "".into(),
                 value: pool[values[m] % pool.len()],
                 is_event: false,
             });
@@ -259,8 +259,8 @@ fn report_records(ticks: &[TickPicks], finite: bool) -> Vec<ParsedRecord> {
         if *event < 6 {
             records.push(ParsedRecord {
                 time_ms: t as u64 * 100,
-                name: ["shed", "breaker_trip"][event % 2].to_string(),
-                source: format!("rack-0{}", event % 3),
+                name: ["shed", "breaker_trip"][event % 2].into(),
+                source: format!("rack-0{}", event % 3).into(),
                 value: 1.0,
                 is_event: true,
             });

@@ -57,6 +57,13 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
+    /// The most samples (machines × steps) a trace may hold: 10^8, or
+    /// 800 MB of values. A month of the paper's 220-machine cluster at
+    /// 5-minute steps is 1.9 million. [`validate`](Self::validate)
+    /// refuses a larger trace, so a size from the command line fails
+    /// cleanly instead of aborting on an allocation.
+    pub const MAX_SAMPLES: u64 = 100_000_000;
+
     /// The paper-scale configuration: 220 machines, 1 month at 5-minute
     /// steps, ~45% mean utilization.
     pub fn google_may2010() -> Self {
@@ -97,6 +104,14 @@ impl SynthConfig {
         if self.step.is_zero() || self.horizon <= SimTime::ZERO + self.step {
             return Err("horizon must cover at least one step".into());
         }
+        if self.samples() > Self::MAX_SAMPLES {
+            return Err(format!(
+                "{} machines x {} samples is above the cap of {} samples",
+                self.machines,
+                self.steps(),
+                Self::MAX_SAMPLES
+            ));
+        }
         if !(0.0 < self.mean_utilization && self.mean_utilization < 1.0) {
             return Err(format!(
                 "mean utilization must be in (0,1), got {}",
@@ -124,6 +139,21 @@ impl SynthConfig {
             ));
         }
         Ok(())
+    }
+
+    /// Samples per machine: the whole steps in the horizon.
+    fn steps(&self) -> u64 {
+        self.horizon.saturating_since(SimTime::ZERO) / self.step
+    }
+
+    /// Samples in the whole trace, machines × steps (saturating), the
+    /// size [`MAX_SAMPLES`](Self::MAX_SAMPLES) caps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the step is zero.
+    pub fn samples(&self) -> u64 {
+        (self.machines as u64).saturating_mul(self.steps())
     }
 
     /// Relative load multiplier at time `t`: daily sine + weekend dip,
@@ -233,7 +263,7 @@ impl SynthConfig {
     pub fn generate_direct(&self, seed: u64) -> ClusterTrace {
         self.validate().expect("invalid synth config");
         let root = RngStream::new(seed);
-        let steps = (self.horizon.saturating_since(SimTime::ZERO) / self.step) as usize;
+        let steps = self.steps() as usize;
         let mut series = Vec::with_capacity(self.machines);
         for m in 0..self.machines {
             let mut rng = root.fork_indexed("machine", m);
@@ -324,6 +354,30 @@ mod tests {
         assert_ne!(cfg.generate(3), cfg.generate(4));
         assert_eq!(cfg.generate_direct(3), cfg.generate_direct(3));
         assert_ne!(cfg.generate_direct(3), cfg.generate_direct(4));
+    }
+
+    #[test]
+    fn validate_refuses_a_trace_above_the_sample_cap() {
+        // Two 5-minute steps: a trace of 2 × machines samples.
+        let two_steps = |machines: usize| SynthConfig {
+            machines,
+            horizon: SimTime::from_mins(10),
+            ..SynthConfig::google_may2010()
+        };
+        let at_cap = two_steps(50_000_000);
+        assert_eq!(at_cap.samples(), SynthConfig::MAX_SAMPLES);
+        assert_eq!(at_cap.validate(), Ok(()));
+        assert_eq!(
+            two_steps(50_000_001).validate(),
+            Err("50000001 machines x 2 samples is above the cap of 100000000 samples".into())
+        );
+        let endless = SynthConfig {
+            horizon: SimTime::MAX,
+            ..SynthConfig::google_may2010()
+        };
+        assert!(endless.samples() > SynthConfig::MAX_SAMPLES);
+        assert!(endless.validate().is_err());
+        assert_eq!(two_steps(usize::MAX).samples(), u64::MAX, "saturates");
     }
 
     #[test]

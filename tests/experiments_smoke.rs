@@ -91,6 +91,22 @@ fn fig16_throughput_bounds() {
             assert!((0.0..=1.0).contains(&y), "throughput {y} out of range");
         }
     }
+    // §VI.C: PAD loses under 5% of throughput to the attack, and keeps
+    // more of it than Conv at every attack rate and spike width.
+    for (panel, sweep) in [("by_rate", &fig.by_rate), ("by_width", &fig.by_width)] {
+        let pad = sweep.column(Scheme::Pad).expect("PAD is plotted");
+        let conv = sweep.column(Scheme::Conv).expect("Conv is plotted");
+        for ((&x, &pad), &conv) in sweep.xs.iter().zip(pad).zip(conv) {
+            assert!(
+                pad >= 0.95,
+                "Figure 16 {panel} at {x}: PAD throughput {pad:.4} is below 0.95"
+            );
+            assert!(
+                pad > conv,
+                "Figure 16 {panel} at {x}: PAD throughput {pad:.4} is not above Conv's {conv:.4}"
+            );
+        }
+    }
 }
 
 #[test]
